@@ -14,12 +14,8 @@
 //! per seed** across runs and machines — CI diffs the quick variant
 //! against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
 use dgsf::sim::trace::{
@@ -27,49 +23,7 @@ use dgsf::sim::trace::{
 };
 
 use crate::report::TextTable;
-
-/// A synthetic spin workload with a configurable footprint, so the two
-/// tenants stress the platform differently.
-struct Spin {
-    name: &'static str,
-    secs: f64,
-    mem: u64,
-}
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
+use crate::spin::Spin;
 
 /// GPU seconds per hot-tenant invocation.
 const HOT_SECS: f64 = 0.3;
@@ -134,21 +88,10 @@ pub fn attrib(base_seed: u64, quick: bool) -> AttribOutput {
     let hot_n = (HOT_RPS_MILLI * window_secs / 1000) as usize;
     let cold_n = (COLD_RPS_MILLI * window_secs / 1000) as usize;
     let suite: Vec<Arc<dyn Workload>> = vec![
-        Arc::new(Tenanted::new(
-            "hot",
-            Spin {
-                name: "hot-spin",
-                secs: HOT_SECS,
-                mem: GB,
-            },
-        )),
+        Arc::new(Tenanted::new("hot", Spin::new("hot-spin", HOT_SECS, GB))),
         Arc::new(Tenanted::new(
             "cold",
-            Spin {
-                name: "cold-spin",
-                secs: COLD_SECS,
-                mem: 4 * GB,
-            },
+            Spin::new("cold-spin", COLD_SECS, 4 * GB),
         )),
     ];
     let schedule = dgsf::serverless::Schedule::merged(
@@ -351,17 +294,6 @@ pub fn traces_json(a: &AttribOutput) -> String {
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Write `BENCH_attrib.json` and `attrib_traces.json` into `out_dir`;
-/// returns both paths (summary first).
-pub fn write_attrib(out_dir: &Path, a: &AttribOutput) -> io::Result<(PathBuf, PathBuf)> {
-    fs::create_dir_all(out_dir)?;
-    let summary = out_dir.join("BENCH_attrib.json");
-    fs::write(&summary, attrib_json(a))?;
-    let traces = out_dir.join("attrib_traces.json");
-    fs::write(&traces, traces_json(a))?;
-    Ok((summary, traces))
 }
 
 /// Human-readable per-group attribution table: for each (tenant,

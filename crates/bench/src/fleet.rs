@@ -19,106 +19,14 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::stats::percentile;
 
 use crate::report::TextTable;
-
-/// A synthetic spin workload with a configurable footprint, so the two
-/// tenants stress the fleet differently.
-struct Spin {
-    name: &'static str,
-    secs: f64,
-    mem: u64,
-}
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(self.secs, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
-
-/// A chunked spin: `chunks` kernels with a sync after each, so the
-/// function crosses many API-call boundaries — each one a point where the
-/// monitor can land a live migration.
-struct ChunkedSpin {
-    name: &'static str,
-    chunks: usize,
-    chunk_secs: f64,
-    mem: u64,
-}
-
-impl Workload for ChunkedSpin {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        self.mem
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        for _ in 0..self.chunks {
-            api.launch_kernel(
-                p,
-                "k",
-                LaunchConfig::linear(1, 32),
-                KernelArgs::timed(self.chunk_secs, 0),
-            )?;
-            api.device_synchronize(p)?;
-        }
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
+use crate::spin::Spin;
 
 /// GPU seconds per hot-tenant invocation.
 const HOT_SECS: f64 = 0.3;
@@ -287,16 +195,6 @@ fn fleet_config(seed: u64, policy: FleetPolicy, fair: bool) -> PlatformConfig {
     cfg
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille).
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 // Jain's index moved to the sim crate's stats module (the telemetry layer
 // wants it too); re-exported here so `fleet::jain_permille` keeps working.
 pub use dgsf::sim::stats::jain_permille;
@@ -323,7 +221,7 @@ fn tenant_point(results: &[&dgsf::serverless::FunctionResult], window_ns: u64) -
         shed,
         goodput_rps_milli,
         completion_permille: (completed * 1000).checked_div(launched).unwrap_or(0),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p99_e2e_us: percentile(&e2e_us, 9_900),
     }
 }
 
@@ -343,21 +241,10 @@ fn run_point(
     let hot_n = (hot_rps_milli * window_secs / 1000) as usize;
     let cold_n = (COLD_RPS_MILLI * window_secs / 1000) as usize;
     let suite: Vec<Arc<dyn Workload>> = vec![
-        Arc::new(Tenanted::new(
-            "hot",
-            Spin {
-                name: "hot-spin",
-                secs: HOT_SECS,
-                mem: GB,
-            },
-        )),
+        Arc::new(Tenanted::new("hot", Spin::new("hot-spin", HOT_SECS, GB))),
         Arc::new(Tenanted::new(
             "cold",
-            Spin {
-                name: "cold-spin",
-                secs: COLD_SECS,
-                mem: 4 * GB,
-            },
+            Spin::new("cold-spin", COLD_SECS, 4 * GB),
         )),
     ];
     let schedule = dgsf::serverless::Schedule::merged(
@@ -400,8 +287,8 @@ fn run_point(
     let jain = jain_permille(&[hot.goodput_rps_milli, cold.goodput_rps_milli]);
     FleetPoint {
         hot_rps_milli,
-        p50_e2e_us: percentile_sorted(&all_e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&all_e2e_us, 990),
+        p50_e2e_us: percentile(&all_e2e_us, 5_000),
+        p99_e2e_us: percentile(&all_e2e_us, 9_900),
         jain_permille: jain,
         hot,
         cold,
@@ -447,20 +334,16 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
     let suite: Vec<Arc<dyn Workload>> = vec![
         Arc::new(Tenanted::new(
             "batch",
-            ChunkedSpin {
-                name: "batch-chunked",
+            Spin {
                 chunks: BATCH_CHUNKS,
-                chunk_secs: 0.25,
-                mem: 2 * GB,
+                ..Spin::new("batch-chunked", 0.25, 2 * GB)
             },
         )),
         Arc::new(Tenanted::new(
             "interactive",
-            ChunkedSpin {
-                name: "interactive-chunked",
+            Spin {
                 chunks: 2,
-                chunk_secs: 0.15,
-                mem: GB,
+                ..Spin::new("interactive-chunked", 0.15, GB)
             },
         )),
     ];
@@ -496,7 +379,7 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
             .map(|r| r.e2e().as_nanos() / 1_000)
             .collect();
         us.sort_unstable();
-        percentile_sorted(&us, 990)
+        percentile(&us, 9_900)
     };
     let mut all_e2e_us: Vec<u64> = out
         .results
@@ -509,8 +392,8 @@ fn migration_arm(base_seed: u64, window_secs: u64, on: bool) -> MigrationArm {
         migration: if on { "on" } else { "off" },
         completed: out.completed() as u64,
         migrations: out.migrations.iter().map(|m| m.len() as u64).sum(),
-        p50_e2e_us: percentile_sorted(&all_e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&all_e2e_us, 990),
+        p50_e2e_us: percentile(&all_e2e_us, 5_000),
+        p99_e2e_us: percentile(&all_e2e_us, 9_900),
         batch_p99_e2e_us: p99_of("batch"),
         interactive_p99_e2e_us: p99_of("interactive"),
     }
@@ -566,19 +449,11 @@ fn queueing_arm(
     let suite: Vec<Arc<dyn Workload>> = vec![
         Arc::new(Tenanted::new(
             "heavy",
-            Spin {
-                name: "heavy-spin",
-                secs: HEAVY_SECS,
-                mem: 2 * GB,
-            },
+            Spin::new("heavy-spin", HEAVY_SECS, 2 * GB),
         )),
         Arc::new(Tenanted::new(
             "light",
-            Spin {
-                name: "light-spin",
-                secs: LIGHT_SECS,
-                mem: GB,
-            },
+            Spin::new("light-spin", LIGHT_SECS, GB),
         )),
     ];
     let schedule = dgsf::serverless::Schedule::merged(
@@ -636,8 +511,8 @@ fn queueing_arm(
                 .filter(|r| r.tenant == tenant && r.succeeded())
                 .count() as u64,
             served_by_horizon_ms: served_ns / 1_000_000,
-            p50_queue_delay_us: percentile_sorted(&delays_us, 500),
-            p99_queue_delay_us: percentile_sorted(&delays_us, 990),
+            p50_queue_delay_us: percentile(&delays_us, 5_000),
+            p99_queue_delay_us: percentile(&delays_us, 9_900),
             servers_touched,
         }
     };
@@ -798,14 +673,6 @@ fn queue_tenant_json(t: &QueueTenant) -> String {
         t.p99_queue_delay_us,
         t.servers_touched,
     )
-}
-
-/// Write `BENCH_fleet.json` into `out_dir`; returns the path.
-pub fn write_fleet(out_dir: &Path, f: &FleetOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_fleet.json");
-    fs::write(&path, fleet_json(f))?;
-    Ok(path)
 }
 
 /// Human-readable table of the sweep.

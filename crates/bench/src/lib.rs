@@ -17,16 +17,17 @@
 //! | Table V   | [`single::table5`]     | `dgsf-expt table5` |
 //! | §V-C API counts | [`single::apicounts`] | `dgsf-expt apicounts` |
 //! | §VIII-D future work (SJF) | [`mixed::queue_policy`] | `dgsf-expt sjf` |
-//! | telemetry trace | [`trace::write_trace`] | `dgsf-expt trace` |
+//! | telemetry trace | [`trace::trace`] | `dgsf-expt trace` |
 //! | autoscaler load sweep | [`sweep::sweep`] | `dgsf-expt sweep` |
 //! | million-invocation scale run | [`scale::scale`] | `dgsf-expt scale` |
 //! | multi-tenant fleet sweep | [`fleet::fleet`] | `dgsf-expt fleet` |
 //! | tail-latency attribution | [`attrib::attrib`] | `dgsf-expt attribute` |
 //! | predictive vs reactive ramp | [`obs::obs`] | `dgsf-expt obs` |
 //!
-//! `dgsf-expt all` regenerates everything (this is what EXPERIMENTS.md
-//! records). `dgsf-expt trace` instead writes telemetry artifacts
-//! (`metrics.json` + Chrome `trace.json`) to `--out DIR`.
+//! `dgsf-expt all` regenerates the paper's tables and figures (this is
+//! what EXPERIMENTS.md records). The artifact experiments from `trace` down
+//! write byte-deterministic files to `--out DIR`, and `dgsf-expt verify`
+//! checks them against each other and the committed goldens.
 
 #![warn(missing_docs)]
 
@@ -38,5 +39,6 @@ pub mod pipeline;
 pub mod report;
 pub mod scale;
 pub mod single;
+mod spin;
 pub mod sweep;
 pub mod trace;

@@ -18,62 +18,21 @@
 //! `BENCH_obs.json`; both are integers-only and **byte-identical per
 //! seed**, so CI diffs the quick run against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::stats::percentile;
 
 use crate::report::TextTable;
+use crate::spin::Spin;
 
-/// The ramp's synthetic workload: 0.75 s of host-side pre-processing
-/// followed by 0.5 s of GPU work (1 GB footprint, no download). The host
-/// share is the point: it keeps the API server busy without occupying the
-/// GPU, so the fleet's service rate is set by the *pool size* until GPU
-/// compute saturates — exactly the regime where autoscaling lag turns
-/// into queueing and sheds.
-struct Spin;
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        p.sleep(Dur::from_millis(HOST_MS)); // host-side pre-processing
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(SPIN_SECS, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
-
-/// GPU seconds of work per invocation.
+/// GPU seconds of work per invocation of the ramp's synthetic workload
+/// (1 GB footprint, no download), after [`HOST_MS`] of host-side
+/// pre-processing. The host share is the point: it keeps the API server
+/// busy without occupying the GPU, so the fleet's service rate is set by
+/// the *pool size* until GPU compute saturates — exactly the regime where
+/// autoscaling lag turns into queueing and sheds.
 const SPIN_SECS: f64 = 0.5;
 
 /// Host milliseconds per invocation (API server busy, GPU free).
@@ -223,16 +182,6 @@ fn diurnal(seed: u64, quick: bool) -> (Schedule, u64, u64) {
     (Schedule { entries }, low_ms, low_ms + surge_ms)
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille).
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 /// Run the ramp once in one mode; returns the stats and the plane's report.
 fn run_mode(
     seed: u64,
@@ -240,7 +189,10 @@ fn run_mode(
     surge_start_ms: u64,
     predictive: bool,
 ) -> (ModeStats, ObsReport) {
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin {
+        host: Dur::from_millis(HOST_MS),
+        ..Spin::new("spin", SPIN_SECS, GB)
+    })];
     let cfg = ramp_config(seed, predictive);
     let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, schedule);
     let report = out.obs.clone().expect("obs plane was configured");
@@ -265,8 +217,8 @@ fn run_mode(
         completed: out.completed() as u64,
         shed: out.shed() as u64,
         failed: out.failed() as u64,
-        p50_e2e_us: percentile_sorted(&e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p50_e2e_us: percentile(&e2e_us, 5_000),
+        p99_e2e_us: percentile(&e2e_us, 9_900),
         pool_peak: tel.gauge_peak("monitor.pool_size").unwrap_or(
             // pool never moved: it stayed at the provisioned baseline
             cfg.server.total_api_servers() as i64,
@@ -336,16 +288,6 @@ pub fn obs_json(o: &ObsOutput) -> String {
     out
 }
 
-/// Write `BENCH_obs.json` and the predictive run's `dashboard.json` into
-/// `out_dir`; returns the `BENCH_obs.json` path.
-pub fn write_obs(out_dir: &Path, o: &ObsOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_obs.json");
-    fs::write(&path, obs_json(o))?;
-    fs::write(out_dir.join("dashboard.json"), &o.dashboard)?;
-    Ok(path)
-}
-
 /// Human-readable comparison table.
 pub fn obs_text(o: &ObsOutput) -> String {
     let mut t = TextTable::new(vec![
@@ -406,13 +348,5 @@ mod tests {
         );
         assert_eq!(s, diurnal(42, true).0, "schedule must be seed-stable");
         assert_ne!(s, diurnal(43, true).0);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50];
-        assert_eq!(percentile_sorted(&v, 500), 30);
-        assert_eq!(percentile_sorted(&v, 990), 50);
-        assert_eq!(percentile_sorted(&[], 500), 0);
     }
 }

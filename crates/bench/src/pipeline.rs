@@ -14,15 +14,13 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::cuda::ResidentEvent;
 use dgsf::prelude::*;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{DagResult, DagWorkload, HandoffMode, ObjectStore};
+use dgsf::sim::stats::percentile;
 use dgsf::sim::SimTime;
 use parking_lot::Mutex;
 
@@ -83,16 +81,6 @@ pub struct PipelineOutput {
     pub inter_mb: u64,
     /// The two arms, host bounce first.
     pub arms: Vec<PipelineArm>,
-}
-
-/// Nearest-rank percentile of a sorted slice (q in permille).
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
 }
 
 /// Run one arm: `n` DAGs from two alternating tenants, launched
@@ -176,8 +164,8 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
         launched: runs.len() as u64,
         completed: completed.len() as u64,
         failed: runs.len() as u64 - completed.len() as u64,
-        p50_e2e_us: percentile_sorted(&e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p50_e2e_us: percentile(&e2e_us, 5_000),
+        p99_e2e_us: percentile(&e2e_us, 9_900),
         transfer_ms: transfer_ns / 1_000_000,
         colocated_permille: (colocated * 1000)
             .checked_div(completed.len() as u64)
@@ -232,14 +220,6 @@ pub fn pipeline_json(o: &PipelineOutput) -> String {
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Write `BENCH_pipeline.json` into `out_dir`; returns the path.
-pub fn write_pipeline(out_dir: &Path, o: &PipelineOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_pipeline.json");
-    fs::write(&path, pipeline_json(o))?;
-    Ok(path)
 }
 
 /// Human-readable table of the comparison.

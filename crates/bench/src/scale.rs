@@ -16,13 +16,11 @@
 //! a committed golden. Wall-clock throughput (events/sec, invocations/
 //! sec) is *not* in the JSON; the binary prints it alongside.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dgsf::remoting::wire::{Request, Response, WireArgs};
 use dgsf::remoting::{NetLink, NetProfile, RpcClient, RpcInbox};
+use dgsf::sim::stats::percentile;
 use dgsf::sim::{rng, Dur, Sim, SimTime};
 use parking_lot::Mutex;
 
@@ -129,16 +127,6 @@ struct Invocation {
     arrival: SimTime,
     tenant: u32,
     service_ns: u64,
-}
-
-/// Nearest-rank percentile of a sorted slice (q in permyriad: 9990 = p99.9).
-fn percentile_sorted(sorted: &[u64], q_permyriad: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permyriad).div_ceil(10_000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
 }
 
 /// Run the trace. Returns the deterministic output plus the wall-clock
@@ -261,9 +249,9 @@ pub fn scale(cfg: &ScaleConfig) -> (ScaleOutput, f64) {
         completed,
         tenants: cfg.tenants as u64,
         servers: cfg.servers as u64,
-        p50_us: percentile_sorted(&lat_us, 5_000),
-        p99_us: percentile_sorted(&lat_us, 9_900),
-        p999_us: percentile_sorted(&lat_us, 9_990),
+        p50_us: percentile(&lat_us, 5_000),
+        p99_us: percentile(&lat_us, 9_900),
+        p999_us: percentile(&lat_us, 9_990),
         max_us: lat_us.last().copied().unwrap_or(0),
         virtual_ms: end.as_nanos() / 1_000_000,
         events,
@@ -312,14 +300,6 @@ pub fn scale_json(s: &ScaleOutput) -> String {
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Write `BENCH_scale.json` into `out_dir`; returns the path.
-pub fn write_scale(out_dir: &Path, s: &ScaleOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_scale.json");
-    fs::write(&path, scale_json(s))?;
-    Ok(path)
 }
 
 /// Human-readable summary, including the wall-clock throughput lines that
@@ -395,14 +375,5 @@ mod tests {
             assert!(w[1].completed >= w[0].completed);
             assert!(w[1].events > w[0].events);
         }
-    }
-
-    #[test]
-    fn scale_percentiles_are_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile_sorted(&v, 5_000), 50);
-        assert_eq!(percentile_sorted(&v, 9_900), 100);
-        assert_eq!(percentile_sorted(&[], 5_000), 0);
-        assert_eq!(percentile_sorted(&[7], 9_990), 7);
     }
 }

@@ -12,59 +12,19 @@
 //! time, so the file is **byte-identical per seed** across runs and
 //! machines — CI diffs it against a committed golden.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dgsf::cuda::{CudaResult, KernelDef};
 use dgsf::gpu::GB;
 use dgsf::prelude::*;
+use dgsf::sim::stats::percentile;
 
 use crate::report::TextTable;
+use crate::spin::Spin;
 
-/// The sweep's synthetic workload: 0.5 s of GPU work, 1 GB footprint, no
-/// download. Small enough that the saturation point is set by compute, not
-/// memory.
-struct Spin;
-
-impl Workload for Spin {
-    fn name(&self) -> &str {
-        "spin"
-    }
-    fn registry(&self) -> Arc<ModuleRegistry> {
-        Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-    }
-    fn required_gpu_mem(&self) -> u64 {
-        GB
-    }
-    fn download_bytes(&self) -> u64 {
-        0
-    }
-    fn run(
-        &self,
-        p: &dgsf::sim::ProcCtx,
-        api: &mut dyn CudaApi,
-        rec: &mut PhaseRecorder,
-    ) -> CudaResult<()> {
-        rec.enter(p, dgsf::serverless::phase::PROCESSING);
-        api.launch_kernel(
-            p,
-            "k",
-            LaunchConfig::linear(1, 32),
-            KernelArgs::timed(SPIN_SECS, 0),
-        )?;
-        api.device_synchronize(p)?;
-        rec.close(p);
-        Ok(())
-    }
-    fn cpu_secs(&self) -> f64 {
-        30.0
-    }
-}
-
-/// GPU seconds of work per invocation. With 2 GPUs the fleet's compute
-/// ceiling is `2 / SPIN_SECS` = 4 functions per second.
+/// GPU seconds of work per invocation of the sweep's synthetic workload
+/// (1 GB footprint, no download: the saturation point is set by compute,
+/// not memory). With 2 GPUs the fleet's compute ceiling is
+/// `2 / SPIN_SECS` = 4 functions per second.
 const SPIN_SECS: f64 = 0.5;
 
 /// Offered load points, in milli-requests-per-second. The ceiling of the
@@ -130,23 +90,13 @@ fn sweep_config(seed: u64) -> PlatformConfig {
         .with_max_queue_age(Dur::from_secs(3))
 }
 
-/// Nearest-rank percentile of a sorted slice (q in permille). Integer-only.
-fn percentile_sorted(sorted: &[u64], q_permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = ((n * q_permille).div_ceil(1000)).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 /// Run one point: `launches` Poisson arrivals at `rate_milli_rps` through
 /// the admission-controlled, autoscaled fleet.
 fn run_point(base_seed: u64, idx: usize, rate_milli_rps: u64, launches: usize) -> SweepPoint {
     // Distinct, deterministic seed per point.
     let seed = base_seed.wrapping_add((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mean_gap = Dur(1_000_000_000_000 / rate_milli_rps);
-    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin)];
+    let suite: Vec<Arc<dyn Workload>> = vec![Arc::new(Spin::new("spin", SPIN_SECS, GB))];
     let schedule = Schedule::mixed(
         seed,
         1,
@@ -175,8 +125,8 @@ fn run_point(base_seed: u64, idx: usize, rate_milli_rps: u64, launches: usize) -
         completed,
         shed: out.shed() as u64,
         failed: out.failed() as u64,
-        p50_e2e_us: percentile_sorted(&e2e_us, 500),
-        p99_e2e_us: percentile_sorted(&e2e_us, 990),
+        p50_e2e_us: percentile(&e2e_us, 5_000),
+        p99_e2e_us: percentile(&e2e_us, 9_900),
         throughput_rps_milli,
         pool_peak: tel.gauge_peak("monitor.pool_size").unwrap_or(
             // pool never moved: it stayed at the provisioned baseline
@@ -236,14 +186,6 @@ pub fn sweep_json(s: &SweepOutput) -> String {
     out
 }
 
-/// Write `BENCH_sweep.json` into `out_dir`; returns the path.
-pub fn write_sweep(out_dir: &Path, s: &SweepOutput) -> io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_sweep.json");
-    fs::write(&path, sweep_json(s))?;
-    Ok(path)
-}
-
 /// Human-readable table of the sweep.
 pub fn sweep_text(s: &SweepOutput) -> String {
     let mut t = TextTable::new(vec![
@@ -276,16 +218,6 @@ pub fn sweep_text(s: &SweepOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile_sorted(&v, 500), 50);
-        assert_eq!(percentile_sorted(&v, 990), 100);
-        assert_eq!(percentile_sorted(&v, 1000), 100);
-        assert_eq!(percentile_sorted(&[], 500), 0);
-        assert_eq!(percentile_sorted(&[7], 990), 7);
-    }
 
     #[test]
     fn one_light_point_completes_everything() {

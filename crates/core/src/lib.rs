@@ -49,7 +49,7 @@ mod testbed;
 
 pub use invariants::{check_backend_run, check_memory_balance, check_resident_handoff};
 pub use platform::{ConfigError, PlatformConfig};
-pub use testbed::{BackendRunConfig, BackendRunOutput, RunOutput, Testbed, TestbedConfig};
+pub use testbed::{BackendRunOutput, RunOutput, Testbed, TestbedConfig};
 
 /// Discrete-event simulation substrate.
 pub use dgsf_sim as sim;
@@ -75,8 +75,7 @@ pub use dgsf_workloads as workloads;
 /// Convenient top-level re-exports of the most used types.
 pub mod prelude {
     pub use crate::{
-        BackendRunConfig, BackendRunOutput, ConfigError, PlatformConfig, RunOutput, Testbed,
-        TestbedConfig,
+        BackendRunOutput, ConfigError, PlatformConfig, RunOutput, Testbed, TestbedConfig,
     };
     pub use dgsf_cuda::{CostTable, CudaApi, HostBuf, KernelArgs, LaunchConfig, ModuleRegistry};
     pub use dgsf_remoting::{NetProfile, OptConfig};

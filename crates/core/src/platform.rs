@@ -1,14 +1,13 @@
 //! [`PlatformConfig`]: the single entry point for configuring a DGSF
 //! platform run.
 //!
-//! Experiment configuration used to be scattered over five types —
-//! [`TestbedConfig`], [`BackendRunConfig`], [`GpuServerConfig`],
-//! [`AdmissionConfig`] and [`RetryPolicy`] — each with its own defaults.
-//! `PlatformConfig` consolidates them behind one builder: start from
-//! [`PlatformConfig::paper_default`], chain `with_*` calls, and hand the
-//! result to [`Testbed::run_platform_schedule`](crate::Testbed::run_platform_schedule)
-//! (or convert into the legacy types, which remain as thin views so
-//! existing code compiles unchanged).
+//! One builder covers the server shape ([`GpuServerConfig`]), the fleet,
+//! admission control ([`AdmissionConfig`]), retries ([`RetryPolicy`]) and
+//! the observability plane: start from [`PlatformConfig::paper_default`],
+//! chain `with_*` calls, and hand the result to
+//! [`Testbed::run_platform_schedule`](crate::Testbed::run_platform_schedule).
+//! The single-server runners take the [`TestbedConfig`] view from
+//! [`PlatformConfig::testbed`].
 //!
 //! ```
 //! use dgsf::{PlatformConfig, Testbed};
@@ -20,7 +19,8 @@
 //!     .with_fleet_policy(FleetPolicy::LoadAware)
 //!     .with_max_inflight(64)
 //!     .with_weighted_fair(FairShedConfig::new().with_weight("hot", 1));
-//! assert_eq!(cfg.backend().num_servers, 4);
+//! assert_eq!(cfg.num_servers, 4);
+//! assert_eq!(cfg.validate(), Ok(()));
 //! ```
 
 use dgsf_remoting::OptConfig;
@@ -28,7 +28,7 @@ use dgsf_server::{FleetPolicy, GpuServerConfig, MqfqConfig, QueuePolicy, ShedPol
 use dgsf_serverless::{AdmissionConfig, FairShedConfig, RetryPolicy, StickyConfig};
 use dgsf_sim::ObsConfig;
 
-use crate::testbed::{BackendRunConfig, TestbedConfig};
+use crate::testbed::TestbedConfig;
 
 /// A rejected [`PlatformConfig`]: the build was internally inconsistent
 /// in a way that would silently distort a run (e.g. a zero fairness
@@ -302,21 +302,6 @@ impl PlatformConfig {
             opts: self.opts,
         }
     }
-
-    /// View as a [`BackendRunConfig`] for the backend-level runner.
-    pub fn backend(&self) -> BackendRunConfig {
-        BackendRunConfig {
-            seed: self.seed,
-            server: self.server.clone(),
-            num_servers: self.num_servers,
-            policy: self.policy,
-            retry: self.retry,
-            admission: self.admission.clone(),
-            sticky: self.sticky.clone(),
-            opts: self.opts,
-            obs: self.obs.clone(),
-        }
-    }
 }
 
 /// Reject zero weights in a tenant→weight map: the builders clamp to 1,
@@ -345,12 +330,6 @@ impl From<PlatformConfig> for TestbedConfig {
     }
 }
 
-impl From<PlatformConfig> for BackendRunConfig {
-    fn from(p: PlatformConfig) -> BackendRunConfig {
-        p.backend()
-    }
-}
-
 impl From<TestbedConfig> for PlatformConfig {
     fn from(t: TestbedConfig) -> PlatformConfig {
         PlatformConfig::paper_default()
@@ -360,29 +339,13 @@ impl From<TestbedConfig> for PlatformConfig {
     }
 }
 
-impl From<BackendRunConfig> for PlatformConfig {
-    fn from(b: BackendRunConfig) -> PlatformConfig {
-        PlatformConfig {
-            seed: b.seed,
-            server: b.server,
-            num_servers: b.num_servers,
-            policy: b.policy,
-            retry: b.retry,
-            admission: b.admission,
-            sticky: b.sticky,
-            opts: b.opts,
-            obs: b.obs,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dgsf_sim::Dur;
 
     #[test]
-    fn builder_round_trips_through_backend_config() {
+    fn builder_sets_fleet_and_admission_fields() {
         let cfg = PlatformConfig::paper_default()
             .with_seed(9)
             .with_num_servers(4)
@@ -390,15 +353,13 @@ mod tests {
             .with_max_inflight(32)
             .with_max_queue_age(Dur::from_secs(2))
             .with_weighted_fair(FairShedConfig::new());
-        let b = cfg.backend();
-        assert_eq!(b.seed, 9);
-        assert_eq!(b.num_servers, 4);
-        assert_eq!(b.policy, FleetPolicy::LoadAware);
-        let adm = b.admission.expect("admission configured");
+        assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.num_servers, 4);
+        assert_eq!(cfg.policy, FleetPolicy::LoadAware);
+        let adm = cfg.admission.as_ref().expect("admission configured");
         assert_eq!(adm.max_inflight, 32);
         assert_eq!(adm.shed_policy(), ShedPolicy::WeightedFair);
-        let back: PlatformConfig = cfg.backend().into();
-        assert_eq!(back.num_servers, 4);
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -522,15 +483,16 @@ mod tests {
     }
 
     #[test]
-    fn sticky_round_trips_through_backend_config() {
+    fn builder_sets_sticky_and_mqfq_fields() {
         let cfg = PlatformConfig::paper_default()
             .with_sticky(StickyConfig::new().with_max_share(250))
             .with_mqfq(MqfqConfig::new().with_weight("hot", 2));
-        let b = cfg.backend();
-        assert_eq!(b.sticky.as_ref().map(|s| s.max_share_permille), Some(250));
-        let back: PlatformConfig = b.into();
-        assert_eq!(back.sticky.map(|s| s.max_share_permille), Some(250));
-        assert_eq!(back.server.queue, QueuePolicy::Mqfq);
-        assert_eq!(back.server.fair_queue.map(|m| m.weight_of("hot")), Some(2));
+        assert_eq!(cfg.sticky.as_ref().map(|s| s.max_share_permille), Some(250));
+        assert_eq!(cfg.server.queue, QueuePolicy::Mqfq);
+        assert_eq!(
+            cfg.server.fair_queue.as_ref().map(|m| m.weight_of("hot")),
+            Some(2)
+        );
+        assert_eq!(cfg.validate(), Ok(()));
     }
 }

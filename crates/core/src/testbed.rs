@@ -13,15 +13,17 @@ use dgsf_cuda::CostTable;
 use dgsf_remoting::OptConfig;
 use dgsf_server::{GpuServer, GpuServerConfig, InvocationRecord, MigrationRecord};
 use dgsf_serverless::{
-    invoke_cpu, invoke_native, AdmissionConfig, Backend, FleetPolicy, FunctionResult,
-    InvokeOptions, Invoker, ObjectStore, RetryPolicy, Schedule, StickyConfig, Workload,
+    invoke_cpu, invoke_native, Backend, FunctionResult, InvokeOptions, Invoker, ObjectStore,
+    Schedule, Workload,
 };
-use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime, Telemetry, Timeline};
+use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimTime, Telemetry, Timeline};
 use parking_lot::Mutex;
+
+use crate::PlatformConfig;
 
 /// Configuration of one experiment run.
 ///
-/// A thin single-server view of [`crate::PlatformConfig`] — the
+/// A thin single-server view of [`PlatformConfig`] — the
 /// consolidated builder is the documented entry point; this type remains
 /// for the testbed's single-server runners.
 #[derive(Clone)]
@@ -104,55 +106,6 @@ impl RunOutput {
     }
 }
 
-/// Configuration of a backend-level run: a fleet of GPU servers behind the
-/// serverless backend's selection, retry and admission policies.
-///
-/// A thin view of [`crate::PlatformConfig`] — build one with the
-/// consolidated builder and convert via [`crate::PlatformConfig::backend`]
-/// (or `.into()`).
-#[derive(Clone)]
-pub struct BackendRunConfig {
-    /// RNG seed (arrivals, jitter).
-    pub seed: u64,
-    /// Shape of each GPU server in the fleet.
-    pub server: GpuServerConfig,
-    /// Fleet size.
-    pub num_servers: usize,
-    /// Server-selection policy.
-    pub policy: FleetPolicy,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
-    /// Optional admission control (overload shedding).
-    pub admission: Option<AdmissionConfig>,
-    /// Optional bounded sticky tenant→server placement.
-    pub sticky: Option<StickyConfig>,
-    /// Guest-library optimization level.
-    pub opts: OptConfig,
-    /// Optional online observability plane (windows, burn-rate alerts,
-    /// health timeline). When set, every monitor and the backend feed one
-    /// shared [`ObsPlane`] and the run's [`BackendRunOutput::obs`] report
-    /// is populated.
-    pub obs: Option<ObsConfig>,
-}
-
-impl BackendRunConfig {
-    /// One paper-default GPU server behind a round-robin backend, default
-    /// retries, no admission control.
-    pub fn paper_default() -> BackendRunConfig {
-        BackendRunConfig {
-            seed: 42,
-            server: GpuServerConfig::paper_default(),
-            num_servers: 1,
-            policy: FleetPolicy::RoundRobin,
-            retry: RetryPolicy::default(),
-            admission: None,
-            sticky: None,
-            opts: OptConfig::full(),
-            obs: None,
-        }
-    }
-}
-
 /// Everything a backend-level schedule run produced.
 pub struct BackendRunOutput {
     /// Per-function results in completion order — including shed ones
@@ -171,7 +124,7 @@ pub struct BackendRunOutput {
     /// When the last function finished (completed or shed).
     pub all_done: SimTime,
     /// Observability report (windows, alerts, health) when the run was
-    /// configured with [`BackendRunConfig::obs`]; `None` otherwise.
+    /// configured with [`PlatformConfig::obs`]; `None` otherwise.
     pub obs: Option<ObsReport>,
 }
 
@@ -307,65 +260,44 @@ impl Testbed {
         )
     }
 
-    /// Run a schedule on a platform described by one consolidated
-    /// [`crate::PlatformConfig`]: the fleet is provisioned, the cluster
-    /// balancer routes under `cfg.policy`, and admission control sheds
-    /// per `cfg.admission`. This is the preferred entry point;
-    /// [`run_backend_schedule`](Self::run_backend_schedule) is its
-    /// lower-level equivalent.
+    /// Run a schedule through the serverless backend on a platform
+    /// described by one consolidated [`PlatformConfig`]: a fleet of
+    /// `cfg.num_servers` GPU servers behind the cluster balancer's
+    /// routing (`cfg.policy`), retries and (optionally) admission control.
+    /// Unlike [`run_schedule`](Self::run_schedule), every launch always
+    /// yields a [`FunctionResult`] — overload turns into shed results, not
+    /// panics — so saturation experiments terminate.
+    ///
+    /// # Panics
+    ///
+    /// If [`PlatformConfig::validate`] rejects `cfg`.
     pub fn run_platform_schedule(
-        cfg: &crate::PlatformConfig,
+        cfg: &PlatformConfig,
         suite: &[Arc<dyn Workload>],
         schedule: &Schedule,
     ) -> BackendRunOutput {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid PlatformConfig: {e}");
-        }
-        Self::run_backend_schedule(&cfg.backend(), suite, schedule)
+        Self::run_fleet(cfg, suite, schedule, false).0
     }
 
     /// [`run_platform_schedule`](Self::run_platform_schedule) with
     /// telemetry recording on. Same seed ⇒ byte-identical exports.
     pub fn run_platform_schedule_traced(
-        cfg: &crate::PlatformConfig,
+        cfg: &PlatformConfig,
         suite: &[Arc<dyn Workload>],
         schedule: &Schedule,
     ) -> (BackendRunOutput, Arc<Telemetry>) {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid PlatformConfig: {e}");
-        }
-        Self::run_backend_schedule_traced(&cfg.backend(), suite, schedule)
+        Self::run_fleet(cfg, suite, schedule, true)
     }
 
-    /// Run a schedule through the serverless backend: a fleet of
-    /// `num_servers` GPU servers behind selection, retry and (optionally)
-    /// admission control. Unlike [`run_schedule`](Self::run_schedule),
-    /// every launch always yields a [`FunctionResult`] — overload turns
-    /// into shed results, not panics — so saturation experiments terminate.
-    pub fn run_backend_schedule(
-        cfg: &BackendRunConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-    ) -> BackendRunOutput {
-        Self::run_backend_schedule_inner(cfg, suite, schedule, false).0
-    }
-
-    /// [`run_backend_schedule`](Self::run_backend_schedule) with telemetry
-    /// recording on. Same seed ⇒ byte-identical exports.
-    pub fn run_backend_schedule_traced(
-        cfg: &BackendRunConfig,
-        suite: &[Arc<dyn Workload>],
-        schedule: &Schedule,
-    ) -> (BackendRunOutput, Arc<Telemetry>) {
-        Self::run_backend_schedule_inner(cfg, suite, schedule, true)
-    }
-
-    fn run_backend_schedule_inner(
-        cfg: &BackendRunConfig,
+    fn run_fleet(
+        cfg: &PlatformConfig,
         suite: &[Arc<dyn Workload>],
         schedule: &Schedule,
         trace: bool,
     ) -> (BackendRunOutput, Arc<Telemetry>) {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid PlatformConfig: {e}");
+        }
         assert!(cfg.num_servers >= 1, "a fleet needs at least one server");
         let mut sim = Sim::new(cfg.seed);
         let telemetry = sim.telemetry();

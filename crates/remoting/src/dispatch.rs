@@ -386,11 +386,6 @@ impl Dispatcher {
             Err(e) => error_response(&e),
         }
     }
-
-    // EventHandle import is used in tests below; silence pedantic unused in
-    // non-test builds via this no-op.
-    #[allow(dead_code)]
-    fn _types(_: EventHandle) {}
 }
 
 #[cfg(test)]

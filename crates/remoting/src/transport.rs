@@ -118,8 +118,6 @@ impl RpcInbox {
 /// Client side of a connection: what the guest library holds after the
 /// monitor hands it an API server address.
 pub struct RpcClient {
-    #[allow(dead_code)]
-    handle: SimHandle,
     link: Arc<NetLink>,
     tx: SimSender<RpcEnvelope>,
     /// Persistent reply path, created once at connect: a fresh channel per
@@ -141,7 +139,6 @@ impl RpcClient {
         let (reply_tx, reply_rx) = h.channel::<(u64, Bytes)>();
         (
             RpcClient {
-                handle: h.clone(),
                 link,
                 tx,
                 reply_tx,

@@ -9,7 +9,9 @@
 //! a subjective slowdown.
 //!
 //! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide, and keeps every measurement in
+//! one `#[test]`: libtest runs separate tests on parallel threads, and
+//! each counting window would then also see the other test's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +55,12 @@ fn snapshot() -> (u64, u64) {
 }
 
 #[test]
+fn rpc_hot_path_allocation_is_bounded() {
+    // Runs first, before any simulation thread exists.
+    encode_allocates_exactly_once();
+    steady_state_round_trip_allocation_is_bounded();
+}
+
 fn steady_state_round_trip_allocation_is_bounded() {
     const WARMUP: usize = 200;
     const MEASURED: u64 = 2_000;
@@ -112,7 +120,6 @@ fn steady_state_round_trip_allocation_is_bounded() {
     println!("steady-state rpc: {calls_per_rt} allocs/rt, {bytes_per_rt} B/rt");
 }
 
-#[test]
 fn encode_allocates_exactly_once() {
     // The exact-capacity single-pass encode: one backing buffer, sized by
     // `encoded_len()`, never grown; `wire_size()` allocates nothing at all.

@@ -70,6 +70,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::Mutex;
 
+use crate::stats::{log2_bucket, log2_quantile};
 use crate::time::{Dur, SimTime};
 
 /// Streaming log₂-bucket quantile sketch over `u64` samples.
@@ -103,7 +104,7 @@ impl QuantileSketch {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
+        self.buckets[log2_bucket(v)] += 1;
         self.count += 1;
     }
 
@@ -115,23 +116,7 @@ impl QuantileSketch {
     /// Upper bound of the bucket holding the exact nearest-rank quantile
     /// (`q` in permille). 0 on an empty sketch.
     pub fn quantile(&self, q_permille: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank =
-            ((self.count as u128 * q_permille as u128).div_ceil(1000) as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return match b {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << b) - 1,
-                };
-            }
-        }
-        unreachable!("cumulative bucket count reaches self.count")
+        log2_quantile(&self.buckets, self.count, q_permille.saturating_mul(10))
     }
 }
 
@@ -873,13 +858,6 @@ mod tests {
             .with_burn_windows(2, 4)
     }
 
-    /// Exact nearest-rank quantile, same rank rule as the sketch.
-    fn exact_quantile(sorted: &[u64], q_permille: u64) -> u64 {
-        let n = sorted.len() as u64;
-        let rank = ((n as u128 * q_permille as u128).div_ceil(1000) as u64).clamp(1, n);
-        sorted[(rank - 1) as usize]
-    }
-
     fn assert_bound(xs: &[u64], q: u64) {
         let mut sk = QuantileSketch::new();
         for &x in xs {
@@ -887,7 +865,7 @@ mod tests {
         }
         let mut sorted = xs.to_vec();
         sorted.sort_unstable();
-        let exact = exact_quantile(&sorted, q);
+        let exact = crate::stats::percentile(&sorted, q * 10);
         let est = sk.quantile(q);
         if exact == 0 {
             assert_eq!(est, 0, "q{q} over {} samples", xs.len());
@@ -1143,12 +1121,6 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn exact_quantile(sorted: &[u64], q_permille: u64) -> u64 {
-        let n = sorted.len() as u64;
-        let rank = ((n as u128 * q_permille as u128).div_ceil(1000) as u64).clamp(1, n);
-        sorted[(rank - 1) as usize]
-    }
-
     proptest! {
         /// The documented rank-error bound holds for arbitrary streams:
         /// the estimate never undershoots the exact nearest-rank value
@@ -1164,7 +1136,7 @@ mod proptests {
             }
             let mut sorted = xs.clone();
             sorted.sort_unstable();
-            let exact = exact_quantile(&sorted, q);
+            let exact = crate::stats::percentile(&sorted, q * 10);
             let est = sk.quantile(q);
             if exact == 0 {
                 prop_assert_eq!(est, 0);

@@ -70,6 +70,51 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
+/// 1-based nearest rank `⌈n·q/10⁴⌉` of quantile `q_permyriad` among `n ≥ 1`
+/// samples, clamped to `1..=n`. The product is taken in `u128`, so no
+/// `(n, q)` pair overflows.
+fn nearest_rank(n: u64, q_permyriad: u64) -> u64 {
+    (n as u128 * q_permyriad as u128)
+        .div_ceil(10_000)
+        .clamp(1, n as u128) as u64
+}
+
+/// Nearest-rank percentile of a sorted `u64` sample, `q` in permyriad
+/// (5_000 = p50, 9_990 = p99.9, 10_000 = max); 0 on an empty sample.
+/// Integer arithmetic only, so it is safe inside byte-deterministic
+/// exports.
+pub fn percentile(sorted: &[u64], q_permyriad: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[(nearest_rank(sorted.len() as u64, q_permyriad) - 1) as usize]
+}
+
+/// The log₂ bucket of `v`: its bit length, so bucket 0 holds the value 0
+/// and bucket `b ≥ 1` holds `2^(b-1) ..= 2^b - 1` (65 buckets in all).
+pub(crate) fn log2_bucket(v: u64) -> usize {
+    (64 - v.leading_zeros()) as usize
+}
+
+/// Nearest-rank quantile estimate over [`log2_bucket`]-indexed counts
+/// holding `count` samples, `q` in permyriad: the upper bound
+/// `2^b - 1` of the bucket `b` holding the exact quantile `x`, so
+/// `x ≤ est ≤ 2x - 1` (bucket 64 saturates at `u64::MAX`). 0 when empty.
+pub(crate) fn log2_quantile(buckets: &[u64], count: u64, q_permyriad: u64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = nearest_rank(count, q_permyriad);
+    let mut cum = 0u64;
+    for (b, &c) in buckets.iter().enumerate() {
+        cum += c;
+        if cum >= rank {
+            return if b == 0 { 0 } else { u64::MAX >> (64 - b) };
+        }
+    }
+    unreachable!("bucket counts sum to `count`")
+}
+
 /// Jain's fairness index over `xs`, in permille: `(Σx)² / (n·Σx²)`.
 /// 1000 means every party gets the same value; 1000/n means one party gets
 /// everything. All-zero input is vacuously fair. Integer arithmetic only,
@@ -165,6 +210,34 @@ mod tests {
         // Values outside [0,1] clamp rather than indexing out of bounds.
         assert_eq!(percentile_sorted(&sorted, -1.0), 10.0);
         assert_eq!(percentile_sorted(&sorted, 42.0), 30.0);
+    }
+
+    #[test]
+    fn integer_percentile_is_nearest_rank() {
+        let ten = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+        let five = [10u64, 20, 30, 40, 50];
+        for (sorted, q, want) in [
+            (&ten[..], 5_000, 50),
+            (&ten[..], 9_900, 100),
+            (&ten[..], 10_000, 100),
+            (&ten[..], 0, 10),
+            (&five[..], 5_000, 30),
+            (&five[..], 9_900, 50),
+            (&[][..], 5_000, 0),
+            (&[][..], 10_000, 0),
+            (&[7][..], 0, 7),
+            (&[7][..], 9_990, 7),
+            (&[7][..], 10_000, 7),
+        ] {
+            assert_eq!(percentile(sorted, q), want, "q{q} over {sorted:?}");
+        }
+        // p99.9 needs permyriad: over 2000 samples it is rank 1998, which
+        // no permille q can name.
+        let big: Vec<u64> = (1..=2000).collect();
+        assert_eq!(percentile(&big, 9_990), 1998);
+        assert_eq!(percentile(&big, 9_900), 1980);
+        // q past 100% clamps to the max instead of indexing out of bounds.
+        assert_eq!(percentile(&ten, u64::MAX), 100);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::stats::{log2_bucket, log2_quantile};
 use crate::time::{Dur, SimTime};
 
 /// Request-scoped causal context, threaded from the serverless front door
@@ -124,30 +125,14 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        let b = (64 - value.leading_zeros()) as usize;
-        self.buckets[b] += 1;
+        self.buckets[log2_bucket(value)] += 1;
     }
 
     /// Nearest-rank quantile estimate from the buckets: the upper bound of
     /// the bucket containing the q-th sample (exact for min/max, a ≤2×
     /// overestimate inside a bucket). Integer-only, so deterministic.
     pub fn quantile_upper_bound(&self, q_permille: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count * q_permille).div_ceil(1000)).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if b == 0 {
-                    0
-                } else {
-                    (1u64 << b).wrapping_sub(1)
-                };
-            }
-        }
-        self.max
+        log2_quantile(&self.buckets, self.count, q_permille.saturating_mul(10))
     }
 }
 
@@ -934,5 +919,17 @@ mod tests {
         assert!(h2.quantile_upper_bound(0) >= h2.min);
         // 5 has bit length 3, so rank 1 lands in bucket 3: bound 2^3 - 1.
         assert_eq!(h2.quantile_upper_bound(0), 7);
+    }
+
+    #[test]
+    fn histogram_top_bucket_saturates_instead_of_overflowing() {
+        // Samples >= 2^63 land in bucket 64, whose upper bound is u64::MAX.
+        let mut h = Histogram::default();
+        h.record(1);
+        h.record(u64::MAX);
+        let p1000 = h.quantile_upper_bound(1000);
+        assert_eq!(p1000, u64::MAX);
+        assert!(p1000 >= h.max);
+        assert_eq!(h.quantile_upper_bound(500), 1);
     }
 }

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use dgsf_sim::stats::percentile;
 use dgsf_sim::{percentile_sorted, Dur, GpsResource, Sim, SimTime, Summary};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -162,6 +163,32 @@ proptest! {
         let lt = sorted.iter().filter(|&&x| x < p).count();
         prop_assert!(le >= rank, "only {le} samples ≤ {p}, need ≥ {rank}");
         prop_assert!(lt < rank, "{lt} samples < {p}, must be < {rank}");
+    }
+
+    /// The integer percentile agrees with the f64 one on random sorted
+    /// samples. The compared `q` is a multiple of 1/16 so that `n·q` is
+    /// exact in f64 as well; for any permyriad `q`, the result is the
+    /// sample with at least ⌈n·q⌉ samples at or below it and fewer
+    /// strictly below.
+    #[test]
+    fn integer_percentile_matches_f64_nearest_rank(
+        values in proptest::collection::vec(0u64..1_000, 1..200),
+        sixteenths in 0u64..17,
+        q in 0u64..10_001,
+    ) {
+        let mut sorted = values;
+        sorted.sort_unstable();
+        let as_f64: Vec<f64> = sorted.iter().map(|&x| x as f64).collect();
+        prop_assert_eq!(
+            percentile(&sorted, sixteenths * 625) as f64,
+            percentile_sorted(&as_f64, sixteenths as f64 / 16.0)
+        );
+        let p = percentile(&sorted, q);
+        let need = (sorted.len() as u64 * q).div_ceil(10_000).max(1);
+        let le = sorted.iter().filter(|&&x| x <= p).count() as u64;
+        let lt = sorted.iter().filter(|&&x| x < p).count() as u64;
+        prop_assert!(le >= need, "only {le} samples ≤ {p}, need ≥ {need}");
+        prop_assert!(lt < need, "{lt} samples < {p}, must be < {need}");
     }
 
     /// A single-sample summary collapses to that sample everywhere, and

@@ -116,7 +116,7 @@ fn pipeline_arm(seed: u64, n: usize, mode: HandoffMode) -> PipelineArm {
             let at = SimTime::ZERO + Dur::from_millis(LAUNCH_GAP_MS * i as u64);
             h2.spawn_at(&format!("dag-{i}"), at, move |p| {
                 let inv = Invoker::new(&server, &store);
-                let r = inv.invoke_dag(p, &dag, InvokeOptions::new(OptConfig::full()), 3);
+                let r = inv.invoke_dag(p, &dag, InvokeOptions::new(OptConfig::full()));
                 results.lock().push((i, r));
                 *done.lock() += 1;
             });

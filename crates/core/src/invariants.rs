@@ -9,9 +9,7 @@
 
 use dgsf_server::{GpuServer, InvocationRecord, MigrationRecord};
 use dgsf_serverless::FunctionResult;
-use dgsf_sim::invariants::{
-    check, InvariantReport, InvocationFacts, MigrationFacts, RequestFacts, RequestOutcome,
-};
+use dgsf_sim::invariants::{check, InvariantReport, InvocationFacts, MigrationFacts, RequestFacts};
 
 use crate::testbed::BackendRunOutput;
 
@@ -37,14 +35,10 @@ pub fn request_facts(results: &[FunctionResult]) -> Vec<RequestFacts> {
     results
         .iter()
         .filter_map(|r| {
-            let outcome = if r.shed {
-                RequestOutcome::Shed
-            } else if r.succeeded() {
-                RequestOutcome::Completed
-            } else {
-                RequestOutcome::Failed
-            };
-            r.trace.map(|trace| RequestFacts { trace, outcome })
+            r.trace.map(|trace| RequestFacts {
+                trace,
+                outcome: r.outcome(),
+            })
         })
         .collect()
 }

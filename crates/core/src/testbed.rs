@@ -16,7 +16,9 @@ use dgsf_serverless::{
     invoke_cpu, invoke_native, Backend, FunctionResult, InvokeOptions, Invoker, ObjectStore,
     Schedule, Workload,
 };
-use dgsf_sim::{Dur, ObsPlane, ObsReport, Sim, SimTime, Telemetry, Timeline};
+use dgsf_sim::{
+    Dur, ObsPlane, ObsReport, ProcCtx, Sim, SimHandle, SimTime, Telemetry, Timeline, TraceOutcome,
+};
 use parking_lot::Mutex;
 
 use crate::PlatformConfig;
@@ -131,19 +133,23 @@ pub struct BackendRunOutput {
 impl BackendRunOutput {
     /// Functions that completed successfully.
     pub fn completed(&self) -> usize {
-        self.results.iter().filter(|r| r.succeeded()).count()
+        self.count(TraceOutcome::Completed)
     }
 
     /// Functions shed by admission control / overload.
     pub fn shed(&self) -> usize {
-        self.results.iter().filter(|r| r.shed).count()
+        self.count(TraceOutcome::Shed)
     }
 
     /// Functions that failed for any non-shed reason.
     pub fn failed(&self) -> usize {
+        self.count(TraceOutcome::Failed)
+    }
+
+    fn count(&self, outcome: TraceOutcome) -> usize {
         self.results
             .iter()
-            .filter(|r| !r.succeeded() && !r.shed)
+            .filter(|r| r.outcome() == outcome)
             .count()
     }
 }
@@ -180,73 +186,33 @@ impl Testbed {
         schedule: &Schedule,
         trace: bool,
     ) -> (RunOutput, Arc<Telemetry>) {
-        let mut sim = Sim::new(cfg.seed);
-        let telemetry = sim.telemetry();
-        if trace {
-            telemetry.enable();
-        }
-        let h = sim.handle();
-        type ServerSnapshot = (Vec<InvocationRecord>, Vec<MigrationRecord>, Vec<Timeline>);
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let out: Arc<Mutex<Option<ServerSnapshot>>> = Arc::new(Mutex::new(None));
         let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
         let server_cfg = cfg.server.clone();
         let opts = cfg.opts;
         let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
         let schedule = schedule.clone();
-        let n_functions = schedule.len();
-        let results2 = Arc::clone(&results);
-        let out2 = Arc::clone(&out);
-        let h2 = h.clone();
-        sim.spawn("platform-root", move |p| {
-            let server = GpuServer::provision(p, &h2, server_cfg);
-            let done_count = Arc::new(Mutex::new(0usize));
-            for (at, widx) in schedule.entries.iter().copied() {
-                let w = Arc::clone(&suite[widx]);
-                let server = Arc::clone(&server);
-                let store = Arc::clone(&store);
-                let results = Arc::clone(&results2);
-                let done_count = Arc::clone(&done_count);
-                h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
-                    let r = Invoker::new(&server, &store)
-                        .invoke(p, w.as_ref(), InvokeOptions::new(opts))
-                        .expect("schedule runs fault-free");
-                    results.lock().push(r);
-                    *done_count.lock() += 1;
-                });
-            }
-            // Collector: snapshot server state once everything finished.
-            let server2 = Arc::clone(&server);
-            let out3 = Arc::clone(&out2);
-            h2.spawn("collector", move |p| {
-                loop {
-                    p.sleep(Dur::from_millis(500));
-                    if *done_count.lock() >= n_functions {
-                        break;
-                    }
-                }
-                let timelines: Vec<Timeline> =
-                    server2.gpus.iter().map(|g| g.compute_timeline()).collect();
-                *out3.lock() = Some((server2.records(), server2.migrations(), timelines));
+        let ((results, (records, migrations, gpu_timelines)), telemetry) =
+            simulate(cfg.seed, trace, "platform-root", move |p, h, out| {
+                let server = GpuServer::provision(p, h, server_cfg);
+                let server2 = Arc::clone(&server);
+                launch(
+                    h,
+                    &schedule,
+                    &suite,
+                    out,
+                    move |p, w| {
+                        Invoker::new(&server, &store)
+                            .invoke(p, w, InvokeOptions::new(opts))
+                            .expect("schedule runs fault-free")
+                    },
+                    move || {
+                        let timelines: Vec<Timeline> =
+                            server2.gpus.iter().map(|g| g.compute_timeline()).collect();
+                        (server2.records(), server2.migrations(), timelines)
+                    },
+                );
             });
-        });
-        sim.run();
-        let mut results = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|a| a.lock().clone());
-        results.sort_by_key(|r| r.finished_at);
-        let (records, migrations, gpu_timelines) =
-            out.lock().take().expect("collector observed completion");
-        let first_launch = results
-            .iter()
-            .map(|r| r.launched_at)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        let all_done = results
-            .iter()
-            .map(|r| r.finished_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let (first_launch, all_done) = window(&results);
         (
             RunOutput {
                 results,
@@ -299,94 +265,48 @@ impl Testbed {
             panic!("invalid PlatformConfig: {e}");
         }
         assert!(cfg.num_servers >= 1, "a fleet needs at least one server");
-        let mut sim = Sim::new(cfg.seed);
-        let telemetry = sim.telemetry();
-        if trace {
-            telemetry.enable();
-        }
-        let h = sim.handle();
-        type FleetSnapshot = (
-            Vec<Vec<InvocationRecord>>,
-            Vec<Vec<MigrationRecord>>,
-            Vec<usize>,
-        );
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let out: Arc<Mutex<Option<FleetSnapshot>>> = Arc::new(Mutex::new(None));
         let store = Arc::new(ObjectStore::new(cfg.server.net.s3_bw));
         let cfg2 = cfg.clone();
         let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
         let schedule = schedule.clone();
-        let n_functions = schedule.len();
-        let results2 = Arc::clone(&results);
-        let out2 = Arc::clone(&out);
         let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(o)));
         let plane2 = plane.clone();
-        let h2 = h.clone();
-        sim.spawn("platform-root", move |p| {
-            let fleet: Vec<Arc<GpuServer>> = (0..cfg2.num_servers)
-                .map(|i| {
-                    let obs = plane2.clone().map(|pl| (pl, format!("srv{i}")));
-                    GpuServer::provision_observed(p, &h2, cfg2.server.clone(), obs)
-                })
-                .collect();
-            let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
-            if let Some(adm) = cfg2.admission.clone() {
-                backend = backend.with_admission(adm);
-            }
-            if let Some(sticky) = cfg2.sticky.clone() {
-                backend = backend.with_sticky(sticky);
-            }
-            if let Some(pl) = plane2.clone() {
-                backend = backend.with_obs(pl);
-            }
-            let backend = Arc::new(backend);
-            let done_count = Arc::new(Mutex::new(0usize));
-            for (at, widx) in schedule.entries.iter().copied() {
-                let w = Arc::clone(&suite[widx]);
-                let backend = Arc::clone(&backend);
-                let store = Arc::clone(&store);
-                let results = Arc::clone(&results2);
-                let done_count = Arc::clone(&done_count);
-                let opts = cfg2.opts;
-                h2.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
-                    let r = backend.invoke(p, &store, w.as_ref(), opts);
-                    results.lock().push(r);
-                    *done_count.lock() += 1;
-                });
-            }
-            let out3 = Arc::clone(&out2);
-            h2.spawn("collector", move |p| {
-                loop {
-                    p.sleep(Dur::from_millis(500));
-                    if *done_count.lock() >= n_functions {
-                        break;
-                    }
+        let ((results, (records, migrations, pool_sizes)), telemetry) =
+            simulate(cfg.seed, trace, "platform-root", move |p, h, out| {
+                let fleet: Vec<Arc<GpuServer>> = (0..cfg2.num_servers)
+                    .map(|i| {
+                        let obs = plane2.clone().map(|pl| (pl, format!("srv{i}")));
+                        GpuServer::provision_observed(p, h, cfg2.server.clone(), obs)
+                    })
+                    .collect();
+                let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
+                if let Some(adm) = cfg2.admission.clone() {
+                    backend = backend.with_admission(adm);
                 }
-                let records: Vec<Vec<InvocationRecord>> =
-                    fleet.iter().map(|s| s.records()).collect();
-                let migrations: Vec<Vec<MigrationRecord>> =
-                    fleet.iter().map(|s| s.migrations()).collect();
-                let pools: Vec<usize> = fleet.iter().map(|s| s.pool_size()).collect();
-                *out3.lock() = Some((records, migrations, pools));
+                if let Some(sticky) = cfg2.sticky.clone() {
+                    backend = backend.with_sticky(sticky);
+                }
+                if let Some(pl) = plane2 {
+                    backend = backend.with_obs(pl);
+                }
+                let opts = cfg2.opts;
+                launch(
+                    h,
+                    &schedule,
+                    &suite,
+                    out,
+                    move |p, w| backend.invoke(p, &store, w, opts),
+                    move || {
+                        let records: Vec<Vec<InvocationRecord>> =
+                            fleet.iter().map(|s| s.records()).collect();
+                        let migrations: Vec<Vec<MigrationRecord>> =
+                            fleet.iter().map(|s| s.migrations()).collect();
+                        let pools: Vec<usize> = fleet.iter().map(|s| s.pool_size()).collect();
+                        (records, migrations, pools)
+                    },
+                );
             });
-        });
-        sim.run();
-        let mut results = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|a| a.lock().clone());
-        results.sort_by_key(|r| r.finished_at);
-        let (records, migrations, pool_sizes) =
-            out.lock().take().expect("collector observed completion");
-        let first_launch = results
-            .iter()
-            .map(|r| r.launched_at)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        let all_done = results
-            .iter()
-            .map(|r| r.finished_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let (first_launch, all_done) = window(&results);
         let obs = plane.map(|pl| pl.report());
         (
             BackendRunOutput {
@@ -449,42 +369,93 @@ impl Testbed {
         w: Arc<dyn Workload>,
         trace: bool,
     ) -> (FunctionResult, Arc<Telemetry>) {
-        let mut sim = Sim::new(seed);
-        let telemetry = sim.telemetry();
-        if trace {
-            telemetry.enable();
-        }
-        let h = sim.handle();
-        let store = Arc::new(ObjectStore::new(
-            dgsf_remoting::NetProfile::datacenter().s3_bw,
-        ));
+        let store = ObjectStore::new(dgsf_remoting::NetProfile::datacenter().s3_bw);
         let costs = Arc::new(costs.clone());
-        let out = Arc::new(Mutex::new(None));
-        let o = Arc::clone(&out);
-        let h2 = h.clone();
-        sim.spawn("native-root", move |p| {
-            let r = invoke_native(p, &h2, &store, w.as_ref(), costs);
-            *o.lock() = Some(r);
-        });
-        sim.run();
-        let r = out.lock().take().expect("ran");
-        (r, telemetry)
+        simulate(seed, trace, "native-root", move |p, h, out| {
+            *out.lock() = Some(invoke_native(p, h, &store, w.as_ref(), costs));
+        })
     }
 
     /// Run one workload on the CPU baseline (6 threads, cost-modeled).
     pub fn run_cpu_once(seed: u64, w: Arc<dyn Workload>) -> FunctionResult {
-        let mut sim = Sim::new(seed);
-        let store = Arc::new(ObjectStore::new(
-            dgsf_remoting::NetProfile::datacenter().s3_bw,
-        ));
-        let out = Arc::new(Mutex::new(None));
-        let o = Arc::clone(&out);
-        sim.spawn("cpu-root", move |p| {
-            let r = invoke_cpu(p, &store, w.as_ref());
-            *o.lock() = Some(r);
-        });
-        sim.run();
-        let r = out.lock().take().expect("ran");
-        r
+        let store = ObjectStore::new(dgsf_remoting::NetProfile::datacenter().s3_bw);
+        simulate(seed, false, "cpu-root", move |p, _, out| {
+            *out.lock() = Some(invoke_cpu(p, &store, w.as_ref()));
+        })
+        .0
     }
+}
+
+/// Where a simulated run leaves its result: filled in by the root process
+/// (or a process it spawned) and taken once the simulation drains.
+type Slot<T> = Arc<Mutex<Option<T>>>;
+
+/// The one simulation harness behind every runner: build a `Sim` seeded
+/// with `seed` (telemetry recording iff `trace`), run `root` as the process
+/// named `root_name` until the event queue drains, and take what it left
+/// in its slot.
+fn simulate<T: Send + 'static>(
+    seed: u64,
+    trace: bool,
+    root_name: &str,
+    root: impl FnOnce(&ProcCtx, &SimHandle, Slot<T>) + Send + 'static,
+) -> (T, Arc<Telemetry>) {
+    let mut sim = Sim::new(seed);
+    let telemetry = sim.telemetry();
+    if trace {
+        telemetry.enable();
+    }
+    let h = sim.handle();
+    let slot: Slot<T> = Arc::new(Mutex::new(None));
+    let out = Arc::clone(&slot);
+    sim.spawn(root_name, move |p| root(p, &h, out));
+    sim.run();
+    let r = slot.lock().take().expect("the run produced its result");
+    (r, telemetry)
+}
+
+/// Spawn one process per `schedule` entry running `invoke`, plus a
+/// collector that polls every 500 ms until every function has finished,
+/// then fills `out` with the results (in finish order) and `snapshot()`.
+fn launch<S: Send + 'static>(
+    h: &SimHandle,
+    schedule: &Schedule,
+    suite: &[Arc<dyn Workload>],
+    out: Slot<(Vec<FunctionResult>, S)>,
+    invoke: impl Fn(&ProcCtx, &dyn Workload) -> FunctionResult + Send + Sync + 'static,
+    snapshot: impl FnOnce() -> S + Send + 'static,
+) {
+    let invoke = Arc::new(invoke);
+    let results = Arc::new(Mutex::new(Vec::new()));
+    for (at, widx) in schedule.entries.iter().copied() {
+        let w = Arc::clone(&suite[widx]);
+        let invoke = Arc::clone(&invoke);
+        let results = Arc::clone(&results);
+        h.spawn_at(&format!("fn-{}-{widx}", at.as_nanos()), at, move |p| {
+            let r = invoke(p, w.as_ref());
+            results.lock().push(r);
+        });
+    }
+    let n_functions = schedule.len();
+    h.spawn("collector", move |p| {
+        loop {
+            p.sleep(Dur::from_millis(500));
+            if results.lock().len() >= n_functions {
+                break;
+            }
+        }
+        let mut results = std::mem::take(&mut *results.lock());
+        results.sort_by_key(|r| r.finished_at);
+        *out.lock() = Some((results, snapshot()));
+    });
+}
+
+/// First launch and last finish over a run's results (zero when empty).
+fn window(results: &[FunctionResult]) -> (SimTime, SimTime) {
+    let first_launch = results.iter().map(|r| r.launched_at).min();
+    let all_done = results.iter().map(|r| r.finished_at).max();
+    (
+        first_launch.unwrap_or(SimTime::ZERO),
+        all_done.unwrap_or(SimTime::ZERO),
+    )
 }

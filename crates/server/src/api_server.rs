@@ -18,6 +18,7 @@ use dgsf_remoting::{Delivery, Dispatcher, NetLink, RpcInbox};
 use dgsf_sim::{Dur, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx};
 use parking_lot::Mutex;
 
+use crate::config::{HEARTBEAT_PERIOD, MIGRATION_STATE_BYTES};
 use crate::monitor::MonitorMsg;
 
 /// A function assignment handed to an API server by the monitor.
@@ -207,11 +208,7 @@ pub(crate) struct ApiServerArgs {
     pub assign_rx: SimReceiver<ServerCmd>,
     pub monitor_tx: SimSender<MonitorMsg>,
     pub migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
-    pub heartbeat_period: Dur,
     pub idle_timeout: Option<Dur>,
-    /// Control-plane bytes (context + handle-pool descriptors) moved over
-    /// the NIC per migration.
-    pub migration_state_bytes: u64,
 }
 
 /// Body of the API server process. Returns when the simulation shuts
@@ -249,12 +246,11 @@ pub(crate) fn run_api_server(p: &ProcCtx, a: ApiServerArgs) {
             let stop = Arc::clone(&stop_hb);
             let shared = Arc::clone(&a.shared);
             let tx = a.monitor_tx.clone();
-            let period = a.heartbeat_period;
             let name = format!("hb-{}-{}", a.shared.id, asg.invocation);
             a.h.spawn(&name, move |pp| {
                 while !stop.load(Ordering::Relaxed) && !shared.is_killed() {
                     tx.send(pp, MonitorMsg::Heartbeat { server: shared.id });
-                    pp.sleep(period);
+                    pp.sleep(HEARTBEAT_PERIOD);
                 }
             });
         }
@@ -410,7 +406,7 @@ fn maybe_migrate(p: &ProcCtx, a: &ApiServerArgs, d: &mut Dispatcher) {
     // over the NIC; the bulk allocations move device-to-device inside
     // `d.migrate`. The transfer is where chaos bites: it can be dropped or
     // delayed, and the fault plan may kill this very server mid-flight.
-    let delivery = a.link.transfer_state(p, a.migration_state_bytes);
+    let delivery = a.link.transfer_state(p, MIGRATION_STATE_BYTES);
     if a.link
         .faults()
         .is_some_and(|f| f.migration_kill_due(a.shared.id, nth))

@@ -38,13 +38,14 @@ use std::collections::{BTreeMap, VecDeque};
 /// one nanosecond advances the clock by `SCALE / weight`.
 pub const VTIME_SCALE: u128 = 1000;
 
+/// Weight of a tenant without an explicit entry in [`MqfqConfig::weights`].
+pub const DEFAULT_WEIGHT: u64 = 1;
+
 /// Configuration of the per-tenant fair queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MqfqConfig {
-    /// Per-tenant weights; tenants absent here get [`Self::default_weight`].
+    /// Per-tenant weights; tenants absent here get [`DEFAULT_WEIGHT`].
     pub weights: BTreeMap<String, u64>,
-    /// Weight for tenants without an explicit entry (minimum 1).
-    pub default_weight: u64,
     /// Provisional per-dispatch charge (ns) held against a flow while its
     /// functions are in flight, replaced by the exact service time on
     /// completion.
@@ -55,7 +56,6 @@ impl Default for MqfqConfig {
     fn default() -> Self {
         Self {
             weights: BTreeMap::new(),
-            default_weight: 1,
             assumed_service_ns: 100_000_000, // 100 ms — a typical short function
         }
     }
@@ -73,13 +73,6 @@ impl MqfqConfig {
         self
     }
 
-    /// Set the weight used for tenants without an explicit entry
-    /// (clamped to at least 1).
-    pub fn with_default_weight(mut self, weight: u64) -> Self {
-        self.default_weight = weight.max(1);
-        self
-    }
-
     /// Set the provisional in-flight charge in nanoseconds.
     pub fn with_assumed_service(mut self, ns: u64) -> Self {
         self.assumed_service_ns = ns;
@@ -91,7 +84,7 @@ impl MqfqConfig {
         self.weights
             .get(tenant)
             .copied()
-            .unwrap_or(self.default_weight)
+            .unwrap_or(DEFAULT_WEIGHT)
             .max(1)
     }
 }

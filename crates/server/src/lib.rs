@@ -30,7 +30,10 @@ mod server;
 
 pub use api_server::{ApiServerShared, MigrationRecord};
 pub use autoscale::{AutoscaleConfig, Autoscaler, PredictiveConfig};
-pub use config::GpuServerConfig;
+pub use config::{
+    GpuServerConfig, HEARTBEAT_PERIOD, LEASE_TIMEOUT, MAX_CONCURRENT_MIGRATIONS,
+    MIGRATION_MIN_BUSY, MIGRATION_MIN_EXEC_SHARE_PERMILLE, MIGRATION_STATE_BYTES, MONITOR_PERIOD,
+};
 pub use fairqueue::{MqfqConfig, MqfqQueues};
 pub use monitor::InvocationRecord;
 pub use policy::{FleetPolicy, PlacementPolicy, QueuePolicy, ShedPolicy};

@@ -30,7 +30,10 @@ use crate::api_server::{
     run_api_server, ApiServerArgs, ApiServerShared, Assignment, MigrationRecord, ServerCmd,
 };
 use crate::autoscale::Autoscaler;
-use crate::config::{GpuServerConfig, PlacementPolicy, QueuePolicy};
+use crate::config::{
+    GpuServerConfig, PlacementPolicy, QueuePolicy, LEASE_TIMEOUT, MAX_CONCURRENT_MIGRATIONS,
+    MIGRATION_MIN_BUSY, MIGRATION_MIN_EXEC_SHARE_PERMILLE, MONITOR_PERIOD,
+};
 use crate::fairqueue::MqfqQueues;
 
 /// A function's request for a virtual GPU.
@@ -315,13 +318,11 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
     // Migration damping: bound concurrent migrations, and let the system
     // settle before judging imbalance again. `None` = never requested.
     let mut last_migration_request: Option<SimTime> = None;
-    let migration_cooldown = Dur(a
-        .cfg
-        .monitor_period
+    let migration_cooldown = Dur(MONITOR_PERIOD
         .as_nanos()
         .saturating_mul(a.cfg.migration_cooldown_ticks as u64));
 
-    let mut next_tick = p.now() + a.cfg.monitor_period;
+    let mut next_tick = p.now() + MONITOR_PERIOD;
     // Telemetry bookkeeping: only emit the queue-depth gauge on change, and
     // sample per-GPU timelines once per tick over the since-last-sample
     // window.
@@ -370,7 +371,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
         } else {
             match rx.recv(p) {
                 Some(m) => {
-                    next_tick = p.now() + a.cfg.monitor_period;
+                    next_tick = p.now() + MONITOR_PERIOD;
                     Ok(m)
                 }
                 None => Err(RecvError::Shutdown),
@@ -423,7 +424,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                 }
             }
             Err(RecvError::Timeout) => {
-                next_tick = p.now() + a.cfg.monitor_period;
+                next_tick = p.now() + MONITOR_PERIOD;
                 sample_gpus(p, &a, &mut last_gpu_sample);
                 check_leases(p, &a, &mut servers, &mut queue);
                 if let Some(sc) = scaler.as_mut() {
@@ -449,7 +450,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
                     .count();
                 let cooled = migration_cooled(p.now(), last_migration_request, migration_cooldown);
                 if a.cfg.migration
-                    && in_flight < a.cfg.max_concurrent_migrations as usize
+                    && in_flight < MAX_CONCURRENT_MIGRATIONS as usize
                     && cooled
                     && migration_tick(p, &a, &servers, &overhead, &queue)
                 {
@@ -507,7 +508,7 @@ fn mark_failed(at: SimTime, a: &MonCtx, invocation: u64) {
 }
 
 /// Declare busy servers dead when their lease expires: no heartbeat for
-/// longer than `lease_timeout` means the server was killed (or is
+/// longer than [`LEASE_TIMEOUT`] means the server was killed (or is
 /// unreachable, which is indistinguishable from the monitor's seat).
 /// Releases the memory commitment and fails the invocation over. Returns
 /// true if any server was declared dead (freed capacity may unblock the
@@ -523,7 +524,7 @@ fn check_leases(p: &ProcCtx, a: &MonCtx, servers: &mut [SrvBook], queue: &mut Mo
         if s.failed || s.busy.is_none() {
             continue;
         }
-        if now.since(s.last_heartbeat) > a.cfg.lease_timeout {
+        if now.since(s.last_heartbeat) > LEASE_TIMEOUT {
             s.failed = true;
             a.failed_servers.lock().insert(s.shared.id);
             let b = s.busy.take().expect("checked busy");
@@ -861,9 +862,7 @@ fn spawn_server(
         assign_rx,
         monitor_tx: a.monitor_tx.clone(),
         migration_log: Arc::clone(&a.migration_log),
-        heartbeat_period: a.cfg.heartbeat_period,
         idle_timeout: a.cfg.idle_timeout,
-        migration_state_bytes: a.cfg.migration_state_bytes,
     };
     a.h.spawn(&format!("api-server-{id}"), move |pp| {
         run_api_server(pp, args)
@@ -1001,9 +1000,9 @@ fn migration_tick(
     queue: &MonQueue,
 ) -> bool {
     let now = p.now();
-    let window = Dur(a.cfg.monitor_period.as_nanos() * 3);
+    let window = Dur(MONITOR_PERIOD.as_nanos() * 3);
     let since = SimTime(now.as_nanos().saturating_sub(window.as_nanos()));
-    if now.since(since) < a.cfg.migration_min_busy {
+    if now.since(since) < MIGRATION_MIN_BUSY {
         return false; // too early to judge
     }
     let num_gpus = a.gpus.len();
@@ -1026,7 +1025,7 @@ fn migration_tick(
             continue; // contended in count but not in compute
         }
         if exec_share_permille(now, a, servers, queue, GpuId(g as u32))
-            < a.cfg.migration_min_exec_share_permille
+            < MIGRATION_MIN_EXEC_SHARE_PERMILLE
         {
             continue; // tail is queue-caused; migration would not relieve it
         }

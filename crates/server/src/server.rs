@@ -200,9 +200,7 @@ impl GpuServer {
                 assign_rx,
                 monitor_tx: monitor_tx.clone(),
                 migration_log: Arc::clone(&migration_log),
-                heartbeat_period: cfg.heartbeat_period,
                 idle_timeout: cfg.idle_timeout,
-                migration_state_bytes: cfg.migration_state_bytes,
             };
             h.spawn(&format!("api-server-{id}"), move |pp| {
                 run_api_server(pp, args)

@@ -20,19 +20,22 @@ use std::sync::Arc;
 
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome, ShedPolicy};
-use dgsf_sim::{Dur, ObsPlane, ProcCtx, SimTime, TraceCtx};
+use dgsf_sim::{Dur, ObsPlane, ProcCtx, SimTime, TraceCtx, TraceOutcome};
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterBalancer;
-use crate::invoke::{
-    record_request_span, FailureClass, FunctionResult, InvokeFailure, InvokeOptions, Invoker,
-};
+use crate::invoke::{record_request_span, FailureClass, FunctionResult, InvokeOptions, Invoker};
 use crate::phases::{phase, PhaseRecorder};
 use crate::store::ObjectStore;
 use crate::tenant::{FairShedConfig, FairShedder};
 use crate::workload::Workload;
 
-/// Bounded retry-with-backoff for transient invocation failures.
+/// Total attempt budget per request (first try included), shared by the
+/// backend's retry loop and [`Invoker::invoke_dag`]'s whole-DAG retries.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Backoff between attempts of a transient invocation failure (the
+/// attempt budget is [`MAX_ATTEMPTS`]).
 ///
 /// All arithmetic is integer milliseconds: the old `f64` `powi` path
 /// rounded differently across platforms and silently went infinite for
@@ -40,9 +43,6 @@ use crate::workload::Workload;
 /// factors (×1.5 = 1500) stay exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempt budget per function (first try included). 1 disables
-    /// retries.
-    pub max_attempts: u32,
     /// Backoff before the second attempt, in milliseconds.
     pub initial_backoff_ms: u64,
     /// Growth factor for each subsequent backoff, in permille
@@ -53,7 +53,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
-            max_attempts: 3,
             initial_backoff_ms: 50,
             backoff_multiplier_permille: 2000,
         }
@@ -61,12 +60,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Builder-style: set the attempt budget.
-    pub fn with_max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
     /// Builder-style: set the first backoff in milliseconds.
     pub fn with_initial_backoff_ms(mut self, ms: u64) -> Self {
         self.initial_backoff_ms = ms;
@@ -192,6 +185,32 @@ impl Drop for AdmissionSlot<'_> {
     }
 }
 
+/// What one terminal exit of [`Backend::invoke`] knows about the request.
+struct Exit {
+    /// `None` when the request completed; otherwise the class of its last
+    /// failure (which decides shed vs failed) and the reason.
+    failure: Option<(FailureClass, String)>,
+    attempts: u32,
+    phases: PhaseRecorder,
+    api_stats: dgsf_cuda::ApiStats,
+    invocation: Option<u64>,
+    server: Option<u32>,
+}
+
+impl Exit {
+    /// A request that ended without a completed attempt.
+    fn failed(class: FailureClass, reason: String, attempts: u32) -> Exit {
+        Exit {
+            failure: Some((class, reason)),
+            attempts,
+            phases: PhaseRecorder::new(),
+            api_stats: dgsf_cuda::ApiStats::default(),
+            invocation: None,
+            server: None,
+        }
+    }
+}
+
 /// The central serverless backend: a registry of GPU servers plus the
 /// cluster balancer that routes across them.
 pub struct Backend {
@@ -306,9 +325,9 @@ impl Backend {
 
     /// Invoke a workload through the backend: choose a server, run the full
     /// DGSF path against it, and on a transient failure retry (with
-    /// backoff, preferring a different server) up to the attempt budget.
+    /// backoff, preferring a different server) up to [`MAX_ATTEMPTS`].
     ///
-    /// Always returns: check [`FunctionResult::succeeded`] for the outcome.
+    /// Always returns: check [`FunctionResult::outcome`] for how it ended.
     /// `launched_at`/`finished_at` span the whole invocation including
     /// retries and backoff, so `e2e()` reflects what the client observed.
     pub fn invoke(
@@ -328,52 +347,35 @@ impl Backend {
         // id rides the admission slot, the monitor queue and the RPC
         // envelopes so every layer's spans share it.
         let trace = TraceCtx::new(tel.next_trace_id(), w.tenant());
-        // Admission control: claim a slot or shed on the spot.
-        let _slot = match self.try_admit(p, w) {
-            Ok(slot) => slot,
-            Err(reason) => return self.shed(p, w, &trace, launched_at, &reason),
-        };
-        let max_queue_age = self.admission.as_ref().and_then(|a| a.max_queue_age);
-        let mut avoid = None;
-        let mut attempt = 1;
         // Queue wait summed across every attempt — the same total the
         // offline trace decomposition assigns to the "queue" segment, so
         // online burn alerts reconcile with post-hoc attribution.
         let mut queue_wait = Dur::ZERO;
-        let last: InvokeFailure = loop {
+        let finish = |queue_wait, exit| self.finish(p, w, &trace, launched_at, queue_wait, exit);
+        // Admission control: claim a slot or shed on the spot.
+        let _slot = match self.try_admit(p, w) {
+            Ok(slot) => slot,
+            Err(reason) => {
+                return finish(
+                    queue_wait,
+                    Exit::failed(FailureClass::Overloaded, reason, 0),
+                )
+            }
+        };
+        let max_queue_age = self.admission.as_ref().and_then(|a| a.max_queue_age);
+        let mut avoid = None;
+        let mut attempt = 1;
+        loop {
             // Routing: the balancer never hands out a lease-expired
             // server. A fully expired fleet is a permanent failure, not a
             // shed — retrying or queueing cannot help.
             let Some(idx) = self.balancer.route_for(w.tenant(), &self.servers, avoid) else {
-                tel.counter_add("backend.failures", 1);
-                record_request_span(
-                    p,
-                    &trace,
-                    w.name(),
-                    launched_at,
-                    p.now(),
-                    "failed",
-                    attempt - 1,
-                );
-                self.observe_completion(p.now(), w.tenant(), launched_at, queue_wait, false);
-                return FunctionResult {
-                    name: w.name().to_string(),
-                    tenant: w.tenant().to_string(),
-                    mode: "dgsf".into(),
-                    launched_at,
-                    finished_at: p.now(),
-                    phases: PhaseRecorder::new(),
-                    api_stats: dgsf_cuda::ApiStats::default(),
-                    invocation: None,
-                    attempts: attempt - 1,
-                    failure: Some("no live GPU server: every lease expired".into()),
-                    shed: false,
-                    trace: Some(trace.id),
-                    server: None,
-                };
+                let reason = "no live GPU server: every lease expired".to_string();
+                let exit = Exit::failed(FailureClass::Permanent, reason, attempt - 1);
+                return finish(queue_wait, exit);
             };
             tel.counter_add("backend.attempts", 1);
-            match Invoker::new(&self.servers[idx], store).invoke(
+            let f = match Invoker::new(&self.servers[idx], store).invoke(
                 p,
                 w,
                 InvokeOptions::new(opts)
@@ -381,120 +383,108 @@ impl Backend {
                     .with_max_queue_age(max_queue_age)
                     .with_trace(trace.with_attempt(attempt)),
             ) {
-                Ok(mut r) => {
-                    r.launched_at = launched_at;
-                    r.attempts = attempt;
-                    record_request_span(
-                        p,
-                        &trace,
-                        w.name(),
-                        launched_at,
-                        r.finished_at,
-                        "completed",
-                        attempt,
-                    );
-                    self.observe_completion(
-                        r.finished_at,
-                        w.tenant(),
-                        launched_at,
-                        queue_wait + r.phases.get(phase::QUEUE),
-                        true,
-                    );
-                    return r;
+                Ok(r) => {
+                    queue_wait += r.phases.get(phase::QUEUE);
+                    let exit = Exit {
+                        failure: None,
+                        attempts: attempt,
+                        phases: r.phases,
+                        api_stats: r.api_stats,
+                        invocation: r.invocation,
+                        server: r.server,
+                    };
+                    return finish(queue_wait, exit);
                 }
-                Err(f) => {
-                    queue_wait += f.phases.get(phase::QUEUE);
-                    // Exactly-once fence: from here a lost *reply* is
-                    // indistinguishable from a lost request. If the server's
-                    // own record says the invocation completed, the work
-                    // happened and only the response died on the wire —
-                    // re-running it would execute the function twice, so
-                    // recover the completion instead of retrying.
-                    if f.class == FailureClass::Transient {
-                        if let Some(inv) = f.invocation {
-                            if self.servers[idx].invocation_outcome(inv)
-                                == Some(InvocationOutcome::Completed)
-                            {
-                                tel.counter_add("backend.recovered_replies", 1);
-                                if tel.is_enabled() {
-                                    tel.instant(
-                                        p.name(),
-                                        "reply-recovered",
-                                        p.now(),
-                                        &[
-                                            ("workload", w.name().to_string()),
-                                            ("invocation", inv.to_string()),
-                                            ("inv", trace.id.to_string()),
-                                        ],
-                                    );
-                                }
-                                record_request_span(
-                                    p,
-                                    &trace,
-                                    w.name(),
-                                    launched_at,
-                                    p.now(),
-                                    "completed",
-                                    attempt,
-                                );
-                                // `queue_wait` already includes this
-                                // attempt's wait (summed on entry to the
-                                // Err arm).
-                                self.observe_completion(
-                                    p.now(),
-                                    w.tenant(),
-                                    launched_at,
-                                    queue_wait,
-                                    true,
-                                );
-                                return FunctionResult {
-                                    name: w.name().to_string(),
-                                    tenant: w.tenant().to_string(),
-                                    mode: "dgsf".into(),
-                                    launched_at,
-                                    finished_at: p.now(),
-                                    phases: *f.phases,
-                                    // The reply carried the stats; they died
-                                    // with it.
-                                    api_stats: dgsf_cuda::ApiStats::default(),
-                                    invocation: Some(inv),
-                                    attempts: attempt,
-                                    failure: None,
-                                    shed: false,
-                                    trace: Some(trace.id),
-                                    server: self.servers[idx].invocation_server(inv),
-                                };
-                            }
-                        }
-                    }
-                    // Overloaded is deliberately not retried: piling
-                    // retries onto a saturated platform makes it worse.
-                    if f.class == FailureClass::Transient && attempt < self.retry.max_attempts {
-                        if tel.is_enabled() {
-                            tel.counter_add("backend.retries", 1);
-                            tel.instant(
-                                p.name(),
-                                "retry",
-                                p.now(),
-                                &[
-                                    ("workload", w.name().to_string()),
-                                    ("failed_attempt", attempt.to_string()),
-                                    ("error", f.error.to_string()),
-                                    ("inv", trace.id.to_string()),
-                                ],
-                            );
-                        }
-                        avoid = Some(idx);
-                        p.sleep(self.retry.backoff(attempt));
-                        attempt += 1;
-                    } else {
-                        break f;
-                    }
+                Err(f) => f,
+            };
+            queue_wait += f.phases.get(phase::QUEUE);
+            // Exactly-once fence: from here a lost *reply* is
+            // indistinguishable from a lost request. If the server's own
+            // record says the invocation completed, the work happened and
+            // only the response died on the wire — re-running it would
+            // execute the function twice, so recover the completion instead
+            // of retrying.
+            if let Some(inv) = f.invocation.filter(|&inv| {
+                f.class == FailureClass::Transient
+                    && self.servers[idx].invocation_outcome(inv)
+                        == Some(InvocationOutcome::Completed)
+            }) {
+                tel.counter_add("backend.recovered_replies", 1);
+                if tel.is_enabled() {
+                    tel.instant(
+                        p.name(),
+                        "reply-recovered",
+                        p.now(),
+                        &[
+                            ("workload", w.name().to_string()),
+                            ("invocation", inv.to_string()),
+                            ("inv", trace.id.to_string()),
+                        ],
+                    );
                 }
+                let exit = Exit {
+                    failure: None,
+                    attempts: attempt,
+                    phases: *f.phases,
+                    // The reply carried the stats; they died with it.
+                    api_stats: dgsf_cuda::ApiStats::default(),
+                    invocation: Some(inv),
+                    server: self.servers[idx].invocation_server(inv),
+                };
+                return finish(queue_wait, exit);
             }
-        };
-        let shed = last.class == FailureClass::Overloaded;
-        if shed {
+            // Overloaded is deliberately not retried: piling retries onto a
+            // saturated platform makes it worse.
+            if f.class != FailureClass::Transient || attempt >= MAX_ATTEMPTS {
+                let exit = Exit {
+                    invocation: f.invocation,
+                    phases: *f.phases,
+                    ..Exit::failed(f.class, f.error.to_string(), attempt)
+                };
+                return finish(queue_wait, exit);
+            }
+            if tel.is_enabled() {
+                tel.counter_add("backend.retries", 1);
+                tel.instant(
+                    p.name(),
+                    "retry",
+                    p.now(),
+                    &[
+                        ("workload", w.name().to_string()),
+                        ("failed_attempt", attempt.to_string()),
+                        ("error", f.error.to_string()),
+                        ("inv", trace.id.to_string()),
+                    ],
+                );
+            }
+            avoid = Some(idx);
+            p.sleep(self.retry.backoff(attempt));
+            attempt += 1;
+        }
+    }
+
+    /// The one terminal path of [`invoke`](Self::invoke): count a shed or
+    /// failure (a shed also leaves a `shed` instant), close the request's
+    /// `req:` span, feed the obs plane, and build the caller's result.
+    fn finish(
+        &self,
+        p: &ProcCtx,
+        w: &dyn Workload,
+        trace: &TraceCtx,
+        launched_at: SimTime,
+        queue_wait: Dur,
+        exit: Exit,
+    ) -> FunctionResult {
+        let tel = p.telemetry();
+        let outcome = exit
+            .failure
+            .as_ref()
+            .map_or(TraceOutcome::Completed, |(class, _)| class.outcome());
+        let failure = exit.failure.map(|(_, reason)| {
+            if outcome != TraceOutcome::Shed {
+                tel.counter_add("backend.failures", 1);
+                return reason;
+            }
             tel.counter_add("backend.shed", 1);
             if tel.is_enabled() {
                 tel.instant(
@@ -503,57 +493,40 @@ impl Backend {
                     p.now(),
                     &[
                         ("workload", w.name().to_string()),
-                        ("reason", last.error.to_string()),
+                        ("reason", reason.clone()),
                         ("inv", trace.id.to_string()),
                     ],
                 );
             }
-        } else {
-            tel.counter_add("backend.failures", 1);
-        }
+            format!("overloaded: {reason}")
+        });
         record_request_span(
             p,
-            &trace,
+            trace,
             w.name(),
             launched_at,
             p.now(),
-            if shed { "shed" } else { "failed" },
-            attempt,
+            outcome,
+            exit.attempts,
         );
-        let failure = if shed {
-            format!("overloaded: {}", last.error)
-        } else {
-            last.error.to_string()
-        };
-        self.observe_completion(p.now(), w.tenant(), launched_at, queue_wait, false);
+        if let Some(obs) = &self.obs {
+            let e2e = p.now().since(launched_at);
+            obs.record_completion(p.now(), w.tenant(), e2e, queue_wait, outcome);
+        }
         FunctionResult {
             name: w.name().to_string(),
             tenant: w.tenant().to_string(),
             mode: "dgsf".into(),
             launched_at,
             finished_at: p.now(),
-            phases: *last.phases,
-            api_stats: dgsf_cuda::ApiStats::default(),
-            invocation: last.invocation,
-            attempts: attempt,
-            failure: Some(failure),
-            shed,
+            phases: exit.phases,
+            api_stats: exit.api_stats,
+            invocation: exit.invocation,
+            attempts: exit.attempts,
+            failure,
+            shed: outcome == TraceOutcome::Shed,
             trace: Some(trace.id),
-            server: None,
-        }
-    }
-
-    /// Feed one terminal outcome to the obs plane (no-op without one).
-    fn observe_completion(
-        &self,
-        now: SimTime,
-        tenant: &str,
-        launched_at: SimTime,
-        queue_wait: Dur,
-        completed: bool,
-    ) {
-        if let Some(obs) = &self.obs {
-            obs.record_completion(now, tenant, now.since(launched_at), queue_wait, completed);
+            server: exit.server,
         }
     }
 
@@ -615,49 +588,6 @@ impl Backend {
             tenant,
         }))
     }
-
-    /// A refused invocation: returns immediately, marked shed, never
-    /// retried.
-    fn shed(
-        &self,
-        p: &ProcCtx,
-        w: &dyn Workload,
-        trace: &TraceCtx,
-        launched_at: dgsf_sim::SimTime,
-        reason: &str,
-    ) -> FunctionResult {
-        let tel = p.telemetry();
-        tel.counter_add("backend.shed", 1);
-        if tel.is_enabled() {
-            tel.instant(
-                p.name(),
-                "shed",
-                p.now(),
-                &[
-                    ("workload", w.name().to_string()),
-                    ("reason", reason.to_string()),
-                    ("inv", trace.id.to_string()),
-                ],
-            );
-        }
-        record_request_span(p, trace, w.name(), launched_at, p.now(), "shed", 0);
-        self.observe_completion(p.now(), w.tenant(), launched_at, Dur::ZERO, false);
-        FunctionResult {
-            name: w.name().to_string(),
-            tenant: w.tenant().to_string(),
-            mode: "dgsf".into(),
-            launched_at,
-            finished_at: p.now(),
-            phases: PhaseRecorder::new(),
-            api_stats: dgsf_cuda::ApiStats::default(),
-            invocation: None,
-            attempts: 0,
-            failure: Some(format!("overloaded: {reason}")),
-            shed: true,
-            trace: Some(trace.id),
-            server: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -672,10 +602,11 @@ mod tests {
 
     use crate::phases::PhaseRecorder;
 
-    struct Spin;
+    /// One ~1 s timed kernel under the given workload name.
+    struct Spin(&'static str);
     impl Workload for Spin {
         fn name(&self) -> &str {
-            "spin"
+            self.0
         }
         fn registry(&self) -> Arc<ModuleRegistry> {
             Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
@@ -792,7 +723,7 @@ mod tests {
                 let b = Arc::clone(&b);
                 let store = Arc::clone(&store);
                 h.spawn(&format!("fn{i}"), move |p| {
-                    let _ = b.invoke(p, &store, &Spin, OptConfig::full());
+                    let _ = b.invoke(p, &store, &Spin("spin"), OptConfig::full());
                 });
             }
             p.sleep(Dur::from_secs(30));
@@ -829,7 +760,7 @@ mod tests {
                     // stagger by 1 ms so fn0 holds the only slot when fn1
                     // arrives (both well within fn0's ~1 s runtime)
                     p.sleep(Dur::from_millis(i as u64));
-                    let res = b.invoke(p, &store, &Spin, OptConfig::full());
+                    let res = b.invoke(p, &store, &Spin("spin"), OptConfig::full());
                     r.lock().push(res);
                 });
             }
@@ -851,41 +782,6 @@ mod tests {
 
     #[test]
     fn per_workload_cap_spares_other_workloads() {
-        struct Named(&'static str);
-        impl Workload for Named {
-            fn name(&self) -> &str {
-                self.0
-            }
-            fn registry(&self) -> Arc<ModuleRegistry> {
-                Arc::new(ModuleRegistry::new().with(KernelDef::timed("k")))
-            }
-            fn required_gpu_mem(&self) -> u64 {
-                GB
-            }
-            fn download_bytes(&self) -> u64 {
-                0
-            }
-            fn run(
-                &self,
-                p: &ProcCtx,
-                api: &mut dyn dgsf_cuda::CudaApi,
-                rec: &mut PhaseRecorder,
-            ) -> CudaResult<()> {
-                rec.enter(p, crate::phases::phase::PROCESSING);
-                api.launch_kernel(
-                    p,
-                    "k",
-                    LaunchConfig::linear(1, 32),
-                    KernelArgs::timed(1.0, 0),
-                )?;
-                api.device_synchronize(p)?;
-                rec.close(p);
-                Ok(())
-            }
-            fn cpu_secs(&self) -> f64 {
-                30.0
-            }
-        }
         let mut sim = Sim::new(1);
         let h = sim.handle();
         let results = Arc::new(Mutex::new(Vec::new()));
@@ -904,7 +800,7 @@ mod tests {
                 let r = r2.clone();
                 h.spawn(&format!("fn{i}"), move |p| {
                     p.sleep(Dur::from_millis(i as u64));
-                    let res = b.invoke(p, &store, &Named(name), OptConfig::full());
+                    let res = b.invoke(p, &store, &Spin(name), OptConfig::full());
                     r.lock().push((name, res.shed));
                 });
             }
@@ -932,7 +828,7 @@ mod tests {
                 h.spawn(&format!("fn{i}"), move |p| {
                     // stagger so load is observable at choice time
                     p.sleep(Dur::from_millis(200 * i as u64));
-                    let _ = b.invoke(p, &store, &Spin, OptConfig::full());
+                    let _ = b.invoke(p, &store, &Spin("spin"), OptConfig::full());
                 });
             }
             p.sleep(Dur::from_secs(30));

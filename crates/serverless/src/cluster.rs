@@ -61,6 +61,13 @@ fn load_score(g: &ServerGauges) -> u64 {
         .saturating_add((g.migrations_in_flight as u64).saturating_mul(MIGRATION_WEIGHT))
 }
 
+/// Load-score bonus a tenant's warm server gets under
+/// [`FleetPolicy::LoadAware`] sticky placement before the share cap bites:
+/// large enough to win most ties against cold servers, small enough that a
+/// genuinely overloaded warm server still loses (1 000 000 = one whole
+/// function per slot of load).
+pub const STICKY_BONUS: u64 = 1_500_000;
+
 /// Bounded sticky tenant→server placement (the "Sticky" half of
 /// MQFQ-Sticky).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,19 +76,12 @@ pub struct StickyConfig {
     /// span; once reached, the tenant's traffic is confined to its warm
     /// servers. At least one server is always allowed.
     pub max_share_permille: u64,
-    /// Load-score bonus a warm server gets under
-    /// [`FleetPolicy::LoadAware`] before the cap bites: large enough to
-    /// win most ties against cold servers, small enough that a genuinely
-    /// overloaded warm server still loses (1 000 000 = one whole function
-    /// per slot of load).
-    pub sticky_bonus: u64,
 }
 
 impl Default for StickyConfig {
     fn default() -> Self {
         StickyConfig {
             max_share_permille: 500,
-            sticky_bonus: 1_500_000,
         }
     }
 }
@@ -97,12 +97,6 @@ impl StickyConfig {
         self.max_share_permille = permille.clamp(1, 1000);
         self
     }
-
-    /// Set the warm-server load-score bonus.
-    pub fn with_bonus(mut self, bonus: u64) -> Self {
-        self.sticky_bonus = bonus;
-        self
-    }
 }
 
 /// One tenant's placement affinity, resolved against the live fleet.
@@ -113,8 +107,6 @@ pub struct TenantAffinity {
     /// True when the warm set has reached the max-share bound: routing is
     /// confined to warm servers (unless none is live).
     pub capped: bool,
-    /// Load-score bonus for warm servers under load-aware selection.
-    pub bonus: u64,
 }
 
 /// Choose a fleet index under `policy` from gauge `snaps`.
@@ -139,7 +131,7 @@ pub fn select(
 ///
 /// A capped tenant is confined to its live warm servers (falling back to
 /// the whole fleet only when none of them is live); an uncapped tenant
-/// sees its warm servers win load-aware ties through the score bonus. The
+/// sees its warm servers win load-aware ties through [`STICKY_BONUS`]. The
 /// liveness and `avoid` rules of [`select`] hold unchanged.
 pub fn select_with_affinity(
     policy: FleetPolicy,
@@ -179,7 +171,7 @@ pub fn select_with_affinity(
     }
     let warm_bonus = |i: usize| -> u64 {
         match affinity {
-            Some(aff) if aff.warm.contains(&i) => aff.bonus,
+            Some(aff) if aff.warm.contains(&i) => STICKY_BONUS,
             _ => 0,
         }
     };
@@ -301,7 +293,6 @@ impl ClusterBalancer {
         let aff = TenantAffinity {
             warm: warm.clone(),
             capped: warm.len() >= cap,
-            bonus: cfg.sticky_bonus,
         };
         let pick = select_with_affinity(self.policy, snaps, rr, avoid, Some(&aff))?;
         if warm.insert(pick) {

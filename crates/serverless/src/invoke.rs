@@ -16,8 +16,9 @@ use dgsf_cuda::{CostTable, CudaApi, CudaError, CudaResult, NativeCuda};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{OptConfig, RemoteCuda};
 use dgsf_server::GpuServer;
-use dgsf_sim::{Dur, ProcCtx, SimHandle, SimTime, TraceCtx};
+use dgsf_sim::{Dur, ProcCtx, SimHandle, SimTime, TraceCtx, TraceOutcome};
 
+use crate::backend::MAX_ATTEMPTS;
 use crate::dag::{edge_key, DagWorkload, HandoffMode, StageRun};
 use crate::phases::{phase, PhaseRecorder};
 use crate::store::ObjectStore;
@@ -35,6 +36,17 @@ pub enum FailureClass {
     /// Anything else (programming errors, device OOM, …): retrying the
     /// same function would fail the same way.
     Permanent,
+}
+
+impl FailureClass {
+    /// How a request whose last attempt failed this way ended: overload is
+    /// shed, anything else failed.
+    pub fn outcome(self) -> TraceOutcome {
+        match self {
+            FailureClass::Overloaded => TraceOutcome::Shed,
+            FailureClass::Transient | FailureClass::Permanent => TraceOutcome::Failed,
+        }
+    }
 }
 
 /// Outcome of one function execution.
@@ -85,6 +97,22 @@ impl FunctionResult {
     /// True when the function completed (possibly after retries).
     pub fn succeeded(&self) -> bool {
         self.failure.is_none()
+    }
+
+    /// How the request ended: shed, else completed, else failed.
+    pub fn outcome(&self) -> TraceOutcome {
+        outcome_of(self.shed, self.succeeded())
+    }
+}
+
+/// The one classification of a settled request's `(shed, succeeded)` pair.
+fn outcome_of(shed: bool, succeeded: bool) -> TraceOutcome {
+    if shed {
+        TraceOutcome::Shed
+    } else if succeeded {
+        TraceOutcome::Completed
+    } else {
+        TraceOutcome::Failed
     }
 }
 
@@ -166,12 +194,6 @@ impl InvokeOptions {
         self.trace = Some(trace);
         self
     }
-
-    /// Builder-style: pin the attempt to one API server.
-    pub fn with_pin_server(mut self, server: u32) -> Self {
-        self.pin_server = Some(server);
-        self
-    }
 }
 
 /// The single DGSF invocation entry point: download, request a virtual GPU
@@ -206,33 +228,11 @@ impl<'a> Invoker<'a> {
                 let trace =
                     TraceCtx::new(p.telemetry().next_trace_id(), w.tenant()).with_attempt(attempt);
                 let out = self.attempt(p, w, &options, trace.clone());
-                match &out {
-                    Ok(r) => record_request_span(
-                        p,
-                        &trace,
-                        w.name(),
-                        r.launched_at,
-                        r.finished_at,
-                        "completed",
-                        attempt,
-                    ),
-                    Err(f) => {
-                        let outcome = if f.class == FailureClass::Overloaded {
-                            "shed"
-                        } else {
-                            "failed"
-                        };
-                        record_request_span(
-                            p,
-                            &trace,
-                            w.name(),
-                            f.launched_at,
-                            f.failed_at,
-                            outcome,
-                            attempt,
-                        );
-                    }
-                }
+                let (start, end, outcome) = match &out {
+                    Ok(r) => (r.launched_at, r.finished_at, TraceOutcome::Completed),
+                    Err(f) => (f.launched_at, f.failed_at, f.class.outcome()),
+                };
+                record_request_span(p, &trace, w.name(), start, end, outcome, attempt);
                 out
             }
         }
@@ -249,18 +249,13 @@ impl<'a> Invoker<'a> {
     /// In [`HandoffMode::HostBounce`] stages are placed freely and the
     /// intermediate bytes bounce through the invoker.
     ///
-    /// Failures retry the *whole* DAG (fresh handoff keys per attempt) up
-    /// to `max_attempts` times for transient errors; overload shedding and
-    /// permanent errors are terminal, as in [`crate::Backend`]'s policy.
+    /// Failures retry the *whole* DAG (fresh handoff keys per attempt),
+    /// without backoff, up to [`MAX_ATTEMPTS`] times for transient errors;
+    /// overload shedding and permanent errors are terminal, as in
+    /// [`crate::Backend`]'s policy.
     /// On any abort the attempt's published-but-unadopted buffers are
     /// reclaimed fleet-wide, so a failed DAG never leaks GPU memory.
-    pub fn invoke_dag(
-        &self,
-        p: &ProcCtx,
-        dag: &DagWorkload,
-        options: InvokeOptions,
-        max_attempts: u32,
-    ) -> DagResult {
+    pub fn invoke_dag(&self, p: &ProcCtx, dag: &DagWorkload, options: InvokeOptions) -> DagResult {
         assert!(!dag.is_empty(), "invoke_dag on an empty DAG");
         let n = dag.len();
         let resident = dag.mode == HandoffMode::GpuResident;
@@ -269,12 +264,11 @@ impl<'a> Invoker<'a> {
             Some(t) => t.clone(),
             None => TraceCtx::new(p.telemetry().next_trace_id(), &dag.tenant),
         };
-        let max_attempts = max_attempts.max(1);
 
-        let mut terminal: Option<(String, bool)> = None; // (failure, shed)
+        let mut terminal: Option<(FailureClass, String)> = None;
         let mut stages: Vec<FunctionResult> = Vec::new();
         let mut attempts_taken = 0;
-        'dag: for attempt in 1..=max_attempts {
+        'dag: for attempt in 1..=MAX_ATTEMPTS {
             attempts_taken = attempt;
             stages = Vec::with_capacity(n);
             let mut pin: Option<u32> = None;
@@ -300,17 +294,11 @@ impl<'a> Invoker<'a> {
                                 self.server.reclaim_resident(edge_key(trace.id, attempt, e));
                             }
                         }
-                        match f.class {
-                            FailureClass::Transient if attempt < max_attempts => continue 'dag,
-                            FailureClass::Overloaded => {
-                                terminal = Some((f.error.to_string(), true));
-                                break 'dag;
-                            }
-                            _ => {
-                                terminal = Some((f.error.to_string(), false));
-                                break 'dag;
-                            }
+                        if f.class == FailureClass::Transient && attempt < MAX_ATTEMPTS {
+                            continue 'dag;
                         }
+                        terminal = Some((f.class, f.error.to_string()));
+                        break 'dag;
                     }
                 }
             }
@@ -318,17 +306,9 @@ impl<'a> Invoker<'a> {
             break 'dag;
         }
 
-        let (failure, shed) = match terminal {
-            Some((e, shed)) => (Some(e), shed),
-            None => (None, false),
-        };
-        let outcome = if failure.is_none() {
-            "completed"
-        } else if shed {
-            "shed"
-        } else {
-            "failed"
-        };
+        let outcome = terminal
+            .as_ref()
+            .map_or(TraceOutcome::Completed, |(class, _)| class.outcome());
         record_request_span(
             p,
             &trace,
@@ -346,8 +326,8 @@ impl<'a> Invoker<'a> {
             launched_at,
             finished_at: p.now(),
             attempts: attempts_taken,
-            failure,
-            shed,
+            failure: terminal.map(|(_, e)| e),
+            shed: outcome == TraceOutcome::Shed,
             trace: trace.id,
         }
     }
@@ -511,6 +491,11 @@ impl DagResult {
     pub fn succeeded(&self) -> bool {
         self.failure.is_none()
     }
+
+    /// How the DAG ended, classified exactly as [`FunctionResult::outcome`].
+    pub fn outcome(&self) -> TraceOutcome {
+        outcome_of(self.shed, self.succeeded())
+    }
 }
 
 /// Record the top-level `req:{workload}` span that roots a causal trace:
@@ -522,7 +507,7 @@ pub(crate) fn record_request_span(
     workload: &str,
     start: SimTime,
     end: SimTime,
-    outcome: &str,
+    outcome: TraceOutcome,
     attempts: u32,
 ) {
     let tel = p.telemetry();
@@ -536,7 +521,7 @@ pub(crate) fn record_request_span(
             &[
                 ("inv", trace.id.to_string()),
                 ("tenant", trace.tenant.to_string()),
-                ("outcome", outcome.to_string()),
+                ("outcome", outcome.as_str().to_string()),
                 ("attempts", attempts.to_string()),
             ],
         );

@@ -25,7 +25,7 @@ mod tenant;
 mod workload;
 
 pub use arrivals::{ArrivalPattern, Schedule};
-pub use backend::{AdmissionConfig, Backend, RetryPolicy};
+pub use backend::{AdmissionConfig, Backend, RetryPolicy, MAX_ATTEMPTS};
 pub use cluster::{ClusterBalancer, StickyConfig};
 pub use dag::{DagStage, DagWorkload, HandoffMode};
 pub use dgsf_server::{FleetPolicy, ShedPolicy};

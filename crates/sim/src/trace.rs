@@ -35,7 +35,9 @@ use crate::stats::percentile;
 use crate::telemetry::{SpanRecord, Telemetry};
 use crate::time::{Dur, SimTime};
 
-/// Terminal state of one traced request.
+/// How one request ended — the platform's only encoding of that fact,
+/// shared by caller-visible results, the `req:` span's `outcome` argument,
+/// the online obs plane and the exactly-once oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceOutcome {
     /// The request returned a successful [`FunctionResult`]-style outcome.

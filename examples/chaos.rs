@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
-use dgsf::serverless::{Backend, FleetPolicy, ObjectStore, RetryPolicy};
+use dgsf::serverless::{Backend, FleetPolicy, ObjectStore};
 use parking_lot::Mutex;
 
 /// One function's client-observed outcome.
@@ -39,13 +39,10 @@ fn chaos_run(seed: u64, n: usize) -> (Vec<Outcome>, u64, usize) {
             .with_rpc_timeout(Dur::from_secs(2));
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Arc::new(
-            Backend::new(
-                vec![Arc::clone(&a), Arc::clone(&b)],
-                FleetPolicy::RoundRobin,
-            )
-            .with_retry(RetryPolicy::default()),
-        );
+        let backend = Arc::new(Backend::new(
+            vec![Arc::clone(&a), Arc::clone(&b)],
+            FleetPolicy::RoundRobin,
+        ));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         let done = Arc::new(Mutex::new(0usize));
         for i in 0..n {

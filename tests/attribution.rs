@@ -11,8 +11,8 @@ use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, Modul
 use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
-use dgsf::serverless::{Backend, FleetPolicy, FunctionResult, ObjectStore, RetryPolicy};
-use dgsf::sim::trace::{assemble, TraceOutcome, TraceTree};
+use dgsf::serverless::{Backend, FleetPolicy, FunctionResult, ObjectStore};
+use dgsf::sim::trace::{assemble, TraceTree};
 use dgsf::workloads::{as_workloads, paper_suite};
 use parking_lot::Mutex;
 
@@ -30,14 +30,7 @@ fn check_consistency(results: &[FunctionResult], trees: &[TraceTree]) {
             .iter()
             .find(|t| t.id == id)
             .unwrap_or_else(|| panic!("no assembled trace for request {id}"));
-        let expect = if r.succeeded() {
-            TraceOutcome::Completed
-        } else if r.shed {
-            TraceOutcome::Shed
-        } else {
-            TraceOutcome::Failed
-        };
-        assert_eq!(t.outcome, expect, "trace {id} terminal state");
+        assert_eq!(t.outcome, r.outcome(), "trace {id} terminal state");
         assert_eq!(t.start, r.launched_at, "trace {id} window start");
         assert_eq!(t.end, r.finished_at, "trace {id} window end");
         assert_eq!(t.attempts, r.attempts, "trace {id} attempt count");
@@ -158,9 +151,7 @@ fn chaos_run(seed: u64, n: usize, faults: FaultPlan) -> (Vec<FunctionResult>, Ve
             .with_idle_timeout(Dur::from_secs(5));
         let a = GpuServer::provision(p, &h2, cfg.clone().with_faults(faults));
         let b = GpuServer::provision(p, &h2, cfg);
-        let backend = Arc::new(
-            Backend::new(vec![a, b], FleetPolicy::RoundRobin).with_retry(RetryPolicy::default()),
-        );
+        let backend = Arc::new(Backend::new(vec![a, b], FleetPolicy::RoundRobin));
         let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
         for i in 0..n {
             let backend = Arc::clone(&backend);

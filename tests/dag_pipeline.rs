@@ -14,6 +14,7 @@ use dgsf::prelude::*;
 use dgsf::remoting::FaultPlan;
 use dgsf::server::GpuServer;
 use dgsf::serverless::{DagWorkload, HandoffMode, ObjectStore};
+use dgsf::sim::TraceOutcome;
 use parking_lot::Mutex;
 
 const MB: u64 = 1 << 20;
@@ -22,9 +23,16 @@ fn t(secs: f64) -> SimTime {
     SimTime::ZERO + Dur::from_secs_f64(secs)
 }
 
-/// Comparable digest of one DAG outcome: (e2e ns, attempts, failure, shed,
-/// per-stage server ids, trace id).
-type DagKey = (u64, u32, Option<String>, bool, Vec<Option<u32>>, u64);
+/// Comparable digest of one DAG outcome: (e2e ns, attempts, failure,
+/// outcome, per-stage server ids, trace id).
+type DagKey = (
+    u64,
+    u32,
+    Option<String>,
+    TraceOutcome,
+    Vec<Option<u32>>,
+    u64,
+);
 
 /// What one simulated run leaves behind for the assertions.
 struct DagRunOut {
@@ -87,14 +95,14 @@ fn run_dags(
                 .with_tenant(tenant);
             h2.spawn_at(&format!("dag-{i}"), t(0.5 * i as f64), move |p| {
                 let inv = Invoker::new(&server, &store);
-                let r = inv.invoke_dag(p, &dag, InvokeOptions::new(OptConfig::full()), 3);
+                let r = inv.invoke_dag(p, &dag, InvokeOptions::new(OptConfig::full()));
                 out.lock().push((
                     i,
                     (
                         r.e2e().as_nanos(),
                         r.attempts,
                         r.failure.clone(),
-                        r.shed,
+                        r.outcome(),
                         r.stages.iter().map(|s| s.server).collect(),
                         r.trace,
                     ),
@@ -138,9 +146,13 @@ fn resident_dags_pin_stages_and_beat_host_bounce() {
 
     for out in [&bounce, &resident] {
         assert_eq!(out.results.len(), 4, "every DAG reaches an outcome");
-        for (_, attempts, failure, shed, servers, _) in &out.results {
+        for (_, attempts, _, outcome, servers, _) in &out.results {
             assert_eq!(*attempts, 1, "fault-free runs need no retries");
-            assert!(failure.is_none() && !shed, "fault-free DAGs complete");
+            assert_eq!(
+                *outcome,
+                TraceOutcome::Completed,
+                "fault-free DAGs complete"
+            );
             assert_eq!(servers.len(), 3, "all three stages ran");
         }
         assert!(
@@ -206,7 +218,7 @@ fn dag_chaos_holds_handoff_exactly_once_and_replays() {
     assert!(
         a.results
             .iter()
-            .any(|(_, _, failure, shed, _, _)| failure.is_none() && !shed),
+            .any(|(_, _, _, outcome, _, _)| *outcome == TraceOutcome::Completed),
         "the surviving server must complete some DAGs"
     );
     // The invariant this PR exists to keep: even with a killed server and a

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use dgsf::cuda::{CudaApi, CudaResult, KernelArgs, KernelDef, LaunchConfig, ModuleRegistry};
 use dgsf::prelude::*;
+use dgsf::sim::obs::QUEUE_SHARE_THRESHOLD_PERMILLE;
 use dgsf::sim::trace::{assemble, TraceOutcome};
 use dgsf_bench::obs as bench_obs;
 
@@ -163,10 +164,9 @@ fn fired_alerts_reconcile_exactly_with_offline_attribution() {
         // And the gate: no alert may fire where queueing is not actually
         // the dominant cause.
         assert!(
-            offline_share >= ocfg.queue_share_threshold_permille,
+            offline_share >= QUEUE_SHARE_THRESHOLD_PERMILLE,
             "alert fired with queue share {offline_share}‰ below the \
-             {}‰ gate",
-            ocfg.queue_share_threshold_permille
+             {QUEUE_SHARE_THRESHOLD_PERMILLE}‰ gate"
         );
     }
     // Determinism of the full report, alert log included.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::kernel::{ProcCtx, ProcId, Shared};
+use crate::kernel::{ProcCtx, ProcId};
 use crate::time::Dur;
 
 struct ChanInner<T> {
@@ -59,8 +59,9 @@ pub enum RecvError {
     Shutdown,
 }
 
-pub(crate) fn channel<T: Send + 'static>(shared: &Arc<Shared>) -> (SimSender<T>, SimReceiver<T>) {
-    let _ = shared; // channels key off the caller's ProcCtx for kernel access
+/// Channels reach the kernel through the caller's [`ProcCtx`], so creating
+/// one needs no simulation handle.
+pub(crate) fn channel<T: Send + 'static>() -> (SimSender<T>, SimReceiver<T>) {
     let inner = Arc::new(ChanInner {
         state: Mutex::new(ChanState {
             queue: VecDeque::new(),
@@ -111,7 +112,7 @@ impl<T: Send + 'static> SimReceiver<T> {
                 let generation = st.begin_park(ctx.pid());
                 ch.waiters.push_back((ctx.pid(), generation));
             }
-            if ctx.yield_parked_raw() {
+            if ctx.yield_parked_impl() {
                 self.deregister(ctx);
                 return None;
             }
@@ -141,7 +142,7 @@ impl<T: Send + 'static> SimReceiver<T> {
                 ch.waiters.push_back((ctx.pid(), generation));
                 st.schedule_wake(deadline, ctx.pid(), generation);
             }
-            let shutdown = ctx.yield_parked_raw();
+            let shutdown = ctx.yield_parked_impl();
             self.deregister(ctx);
             if shutdown {
                 return Err(RecvError::Shutdown);
@@ -166,14 +167,6 @@ impl<T: Send + 'static> SimReceiver<T> {
         let mut ch = self.inner.state.lock();
         let pid = ctx.pid();
         ch.waiters.retain(|(p, _)| *p != pid);
-    }
-}
-
-impl ProcCtx {
-    /// Like `yield_parked` but reports shutdown instead of panicking, so
-    /// blocking primitives can offer a clean-exit path.
-    pub(crate) fn yield_parked_raw(&self) -> bool {
-        self.yield_parked_impl()
     }
 }
 

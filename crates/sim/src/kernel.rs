@@ -8,14 +8,26 @@
 //! channel `recv`, resource `acquire`) — but the kernel only ever lets one of
 //! those threads make progress.
 //!
-//! # Handshake
+//! # Baton protocol
 //!
-//! The driver thread (the one inside [`Sim::run`]) pops the earliest event
-//! from a binary heap. For a `Wake` event it sends a resume token to the
-//! target process over an mpsc channel and then blocks until that process
-//! *yields* (parks on a primitive or exits). For a `Call` event it executes a
-//! boxed closure against the kernel state directly — resources use these as
-//! cancellable completion timers.
+//! Exactly one thread holds the *baton* — the right to run — at a time:
+//! either the driver (the thread inside [`Sim::run_until`]) or one process.
+//! Whoever holds it runs the single dispatch loop, `Shared::dispatch`. It
+//! pops events with `time <= deadline` under the state lock, runs each
+//! `Call` inline (resources use these as cancellable completion timers),
+//! drops stale wakes, and stops at the first live `Wake`. If that wake
+//! targets the caller, the caller simply keeps running; otherwise it sends
+//! the target a resume token and blocks on its own. When the queue is empty,
+//! the next event lies past the deadline or the run is shutting down, the
+//! baton goes back to the driver.
+//!
+//! A process that parks dispatches on its own behalf; one that exits marks
+//! itself dead and dispatches on the driver's. The driver itself dispatches
+//! once per [`Sim::run_until`] and then blocks until the baton returns, so
+//! a wake from one process to another costs one thread switch, not the two
+//! of a round trip through the driver. A process panic (other than
+//! [`ShutdownSignal`]) sends its payload straight to the driver, which
+//! re-raises it.
 //!
 //! # Wake generations
 //!
@@ -96,12 +108,18 @@ struct ProcRec {
     alive: bool,
 }
 
-enum YieldMsg {
-    Parked(ProcId),
-    Exited {
-        pid: ProcId,
-        panic: Option<Box<dyn Any + Send>>,
-    },
+/// A process's panic payload, carried to the driver to be re-raised.
+type Payload = Box<dyn Any + Send>;
+
+/// What the baton holder does once [`Shared::dispatch`] returns.
+enum Handoff {
+    /// The next live wake targets the caller itself: keep running.
+    Continue,
+    /// Resume another process and give it the baton.
+    Resume(Sender<()>),
+    /// Nothing runs before the deadline, or the run is shutting down: give
+    /// the baton back to the driver.
+    Driver,
 }
 
 /// Mutable kernel state, guarded by a single mutex. Lock ordering throughout
@@ -118,6 +136,10 @@ pub(crate) struct SimState {
     /// included). The scale harness divides this by wall time to report
     /// kernel throughput.
     executed: u64,
+    /// The current `run_until` deadline: dispatch leaves later events queued.
+    deadline: SimTime,
+    /// The process holding the baton; `None` while the driver holds it.
+    baton: Option<ProcId>,
 }
 
 impl SimState {
@@ -147,12 +169,64 @@ impl SimState {
 
 pub(crate) struct Shared {
     pub(crate) state: Mutex<SimState>,
-    yield_tx: Sender<YieldMsg>,
+    /// Returns the baton to the driver: `None` when dispatch ran dry or the
+    /// run is shutting down, `Some(payload)` when a process panicked.
+    baton_tx: Sender<Option<Payload>>,
     handles: Mutex<Vec<(ProcId, JoinHandle<()>)>>,
     /// Per-simulation telemetry registry (disabled by default). Lives
     /// outside the state mutex: recording must never contend with the
     /// scheduler.
     telemetry: Arc<Telemetry>,
+}
+
+impl Shared {
+    /// The dispatch loop, run by whichever thread holds the baton. `me` is
+    /// the parking process, or `None` when dispatching for the driver (from
+    /// [`Sim::run_until`] or an exiting process).
+    fn dispatch(&self, me: Option<ProcId>) -> Handoff {
+        let mut st = self.state.lock();
+        debug_assert_eq!(st.baton, me, "only the baton holder may dispatch");
+        let deadline = st.deadline;
+        while !st.shutdown && st.queue.peek().is_some_and(|ev| ev.time <= deadline) {
+            let ev = st.queue.pop().expect("peeked");
+            st.now = st.now.max(ev.time);
+            st.executed += 1;
+            match ev.kind {
+                EventKind::Call(f) => f(&mut st),
+                EventKind::Wake { pid, generation } => {
+                    let Some(rec) = st.procs.get_mut(&pid) else {
+                        continue;
+                    };
+                    if !(rec.alive && rec.parked && rec.generation == generation) {
+                        continue; // stale wake
+                    }
+                    rec.parked = false;
+                    let next = if me == Some(pid) {
+                        Handoff::Continue
+                    } else {
+                        Handoff::Resume(rec.resume_tx.clone())
+                    };
+                    st.baton = Some(pid);
+                    return next;
+                }
+            }
+        }
+        st.baton = None;
+        Handoff::Driver
+    }
+
+    /// Give up the baton as [`Shared::dispatch`] decided.
+    fn hand_off(&self, next: Handoff) {
+        match next {
+            Handoff::Continue => {}
+            Handoff::Resume(tx) => tx
+                .send(())
+                .expect("a live process keeps its resume endpoint"),
+            Handoff::Driver => {
+                let _ = self.baton_tx.send(None);
+            }
+        }
+    }
 }
 
 /// A deterministic discrete-event simulation.
@@ -174,13 +248,13 @@ pub(crate) struct Shared {
 /// ```
 pub struct Sim {
     pub(crate) shared: Arc<Shared>,
-    yield_rx: Receiver<YieldMsg>,
+    baton_rx: Receiver<Option<Payload>>,
 }
 
 impl Sim {
     /// Create a simulation whose internal RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Sim {
-        let (yield_tx, yield_rx) = mpsc::channel();
+        let (baton_tx, baton_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             state: Mutex::new(SimState {
                 now: SimTime::ZERO,
@@ -191,12 +265,14 @@ impl Sim {
                 shutdown: false,
                 rng: StdRng::seed_from_u64(seed),
                 executed: 0,
+                deadline: SimTime::ZERO,
+                baton: None,
             }),
-            yield_tx,
+            baton_tx,
             handles: Mutex::new(Vec::new()),
             telemetry: Arc::new(Telemetry::new()),
         });
-        Sim { shared, yield_rx }
+        Sim { shared, baton_rx }
     }
 
     /// This simulation's telemetry registry (disabled until
@@ -229,7 +305,7 @@ impl Sim {
 
     /// Create an MPMC simulation channel (see [`crate::channel`]).
     pub fn channel<T: Send + 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
-        crate::channel::channel(&self.shared)
+        crate::channel::channel()
     }
 
     /// Run until the event queue is exhausted, then shut down any processes
@@ -242,81 +318,22 @@ impl Sim {
 
     /// Run events with `time <= deadline`; later events stay queued.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            let next = {
-                let mut st = self.shared.state.lock();
-                match st.queue.peek() {
-                    Some(ev) if ev.time <= deadline => {
-                        let ev = st.queue.pop().expect("peeked");
-                        st.now = st.now.max(ev.time);
-                        st.executed += 1;
-                        Some(ev)
-                    }
-                    _ => None,
-                }
-            };
-            let Some(ev) = next else { break };
-            match ev.kind {
-                EventKind::Call(f) => {
-                    let mut st = self.shared.state.lock();
-                    f(&mut st);
-                }
-                EventKind::Wake { pid, generation } => {
-                    let resume = {
-                        let st = self.shared.state.lock();
-                        match st.procs.get(&pid) {
-                            Some(rec)
-                                if rec.alive && rec.parked && rec.generation == generation =>
-                            {
-                                Some(rec.resume_tx.clone())
-                            }
-                            _ => None, // stale wake
-                        }
-                    };
-                    if let Some(tx) = resume {
-                        self.resume_and_wait(pid, &tx);
-                    }
-                }
+        self.shared.state.lock().deadline = deadline;
+        match self.shared.dispatch(None) {
+            Handoff::Driver => {}
+            next => {
+                self.shared.hand_off(next);
+                self.await_baton();
             }
         }
         self.now()
     }
 
-    /// Resume `pid` and block the driver until it parks again or exits.
-    fn resume_and_wait(&mut self, pid: ProcId, tx: &Sender<()>) {
-        {
-            let mut st = self.shared.state.lock();
-            if let Some(rec) = st.procs.get_mut(&pid) {
-                rec.parked = false;
-            }
-        }
-        if tx.send(()).is_err() {
-            // Thread already gone; treat as exited.
-            let mut st = self.shared.state.lock();
-            if let Some(rec) = st.procs.get_mut(&pid) {
-                rec.alive = false;
-            }
-            return;
-        }
-        match self.yield_rx.recv() {
-            Ok(YieldMsg::Parked(p)) => {
-                debug_assert_eq!(p, pid, "only the resumed process may yield");
-            }
-            Ok(YieldMsg::Exited { pid: p, panic }) => {
-                {
-                    let mut st = self.shared.state.lock();
-                    if let Some(rec) = st.procs.get_mut(&p) {
-                        rec.alive = false;
-                        rec.parked = false;
-                    }
-                }
-                if let Some(payload) = panic {
-                    if !payload.is::<ShutdownSignal>() {
-                        panic::resume_unwind(payload);
-                    }
-                }
-            }
-            Err(_) => {} // all senders gone; nothing left to wait for
+    /// Block the driver until the baton comes back; re-raise the payload
+    /// of a process that panicked.
+    fn await_baton(&self) {
+        if let Ok(Some(payload)) = self.baton_rx.recv() {
+            panic::resume_unwind(payload);
         }
     }
 
@@ -340,31 +357,33 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         // Raise the shutdown flag, then resume every parked process one at a
-        // time so each can unwind via ShutdownSignal.
-        let pids: Vec<(ProcId, Sender<()>)> = {
+        // time so each can unwind via ShutdownSignal. While shutting down,
+        // dispatch always hands the baton straight back to the driver.
+        let pids: Vec<ProcId> = {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
             st.queue.clear();
             st.procs
                 .iter()
                 .filter(|(_, r)| r.alive)
-                .map(|(pid, r)| (*pid, r.resume_tx.clone()))
+                .map(|(pid, _)| *pid)
                 .collect()
         };
-        for (pid, tx) in pids {
+        for pid in pids {
             // A process may park a bounded number of times while unwinding.
             for _ in 0..64 {
-                let alive_parked = {
-                    let st = self.shared.state.lock();
-                    st.procs
-                        .get(&pid)
-                        .map(|r| r.alive && r.parked)
-                        .unwrap_or(false)
+                let tx = {
+                    let mut st = self.shared.state.lock();
+                    let Some(rec) = st.procs.get_mut(&pid).filter(|r| r.alive && r.parked) else {
+                        break;
+                    };
+                    rec.parked = false;
+                    let tx = rec.resume_tx.clone();
+                    st.baton = Some(pid);
+                    tx
                 };
-                if !alive_parked {
-                    break;
-                }
-                self.resume_and_wait(pid, &tx);
+                self.shared.hand_off(Handoff::Resume(tx));
+                self.await_baton();
             }
         }
         let handles = std::mem::take(&mut *self.shared.handles.lock());
@@ -401,10 +420,8 @@ where
         pid,
         name: Arc::from(name),
         shared: Arc::clone(shared),
-        yield_tx: shared.yield_tx.clone(),
         resume_rx,
     };
-    let yield_tx = shared.yield_tx.clone();
     let thread_name = format!("sim-{}-{}", pid.0, name);
     let handle = std::thread::Builder::new()
         .name(thread_name)
@@ -415,15 +432,12 @@ where
             }
             // Shutdown may already have been requested before we first ran.
             let early_shutdown = ctx.shared.state.lock().shutdown;
-            let panic_payload = if early_shutdown {
-                None
+            let body = if early_shutdown {
+                Ok(())
             } else {
-                panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))).err()
+                panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)))
             };
-            let _ = yield_tx.send(YieldMsg::Exited {
-                pid,
-                panic: panic_payload,
-            });
+            ctx.exit(body);
         })
         .expect("failed to spawn simulation process thread");
     shared.handles.lock().push((pid, handle));
@@ -464,7 +478,7 @@ impl SimHandle {
 
     /// Create an MPMC simulation channel.
     pub fn channel<T: Send + 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
-        crate::channel::channel(&self.shared)
+        crate::channel::channel()
     }
 
     /// Create a processor-sharing resource with the given capacity
@@ -501,7 +515,6 @@ pub struct ProcCtx {
     pub(crate) pid: ProcId,
     name: Arc<str>,
     pub(crate) shared: Arc<Shared>,
-    yield_tx: Sender<YieldMsg>,
     resume_rx: Receiver<()>,
 }
 
@@ -575,7 +588,7 @@ impl ProcCtx {
         self.shared.state.lock()
     }
 
-    /// Yield to the driver after having registered a park (via
+    /// Hand the baton on after having registered a park (via
     /// [`SimState::begin_park`]) and return once resumed. Panics with
     /// [`ShutdownSignal`] if the simulation is shutting down.
     pub(crate) fn yield_parked(&self) {
@@ -584,21 +597,54 @@ impl ProcCtx {
         }
     }
 
-    /// Yield to the driver; returns `true` if the simulation is shutting
-    /// down (the caller is responsible for unwinding or returning cleanly).
+    /// Like [`ProcCtx::yield_parked`], but reports shutdown by returning
+    /// `true` instead of panicking, so blocking primitives can offer a
+    /// clean-exit path.
     pub(crate) fn yield_parked_impl(&self) -> bool {
-        let _ = self.yield_tx.send(YieldMsg::Parked(self.pid));
-        if self.resume_rx.recv().is_err() {
-            // Driver is gone entirely; report shutdown.
-            return true;
+        match self.shared.dispatch(Some(self.pid)) {
+            Handoff::Continue => false,
+            next => {
+                self.shared.hand_off(next);
+                // A vanished resume endpoint means the driver is gone.
+                self.resume_rx.recv().is_err() || self.shared.state.lock().shutdown
+            }
         }
-        self.shared.state.lock().shutdown
+    }
+
+    /// Mark this process dead and pass the baton on: after a clean exit or
+    /// a shutdown unwind, dispatch for the driver; send any other panic
+    /// payload straight to the driver.
+    fn exit(&self, body: std::thread::Result<()>) {
+        {
+            let mut st = self.shared.state.lock();
+            debug_assert_eq!(st.baton, Some(self.pid), "only the baton holder may exit");
+            if let Some(rec) = st.procs.get_mut(&self.pid) {
+                rec.alive = false;
+                rec.parked = false;
+            }
+            st.baton = None;
+        }
+        let clean = match body {
+            Err(p) if p.is::<ShutdownSignal>() => Ok(()),
+            other => other,
+        };
+        // The dispatch runs resource timers, which may panic too: the driver
+        // must re-raise that as well rather than wait for a lost baton.
+        let handed_off = clean.and_then(|()| {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                self.shared.hand_off(self.shared.dispatch(None));
+            }))
+        });
+        if let Err(payload) = handed_off {
+            let _ = self.shared.baton_tx.send(Some(payload));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimReceiver, SimSender};
 
     #[test]
     fn sleep_advances_virtual_time_instantly() {
@@ -703,5 +749,191 @@ mod tests {
         };
         assert_eq!(sample(7), sample(7));
         assert_ne!(sample(7), sample(8));
+    }
+
+    type Log = Arc<Mutex<Vec<(u64, u64, u32)>>>;
+
+    /// A ring member: log each token, hold it for a pid-dependent time and
+    /// pass it on with one hop fewer, until it has no hops left.
+    fn ring_member(ctx: &ProcCtx, rx: &SimReceiver<u32>, tx: &SimSender<u32>, log: &Log) {
+        while let Some(hops) = rx.recv(ctx) {
+            log.lock().push((ctx.now().as_nanos(), ctx.pid().0, hops));
+            if hops > 0 {
+                ctx.sleep(Dur::from_micros(100 + 37 * ctx.pid().0));
+                tx.send(ctx, hops - 1);
+            }
+        }
+    }
+
+    /// Three processes pass a token round a ring of channels. A fourth,
+    /// spawned by the driver at `late_at` (before the run when there are no
+    /// `cuts`, otherwise right after the first cut), waits for a quiet
+    /// moment and injects a second token. Returns the log, the event count
+    /// and the time of the first cut.
+    fn ring(cuts: &[SimTime], late_at: SimTime) -> (Vec<(u64, u64, u32)>, u64, SimTime) {
+        let mut sim = Sim::new(3);
+        let log = Log::default();
+        let chans: Vec<_> = (0..3).map(|_| sim.channel::<u32>()).collect();
+        for i in 0..3 {
+            let rx = chans[i].1.clone();
+            let tx = chans[(i + 1) % 3].0.clone();
+            let log = log.clone();
+            sim.spawn(&format!("ring{i}"), move |ctx| {
+                if i == 0 {
+                    tx.send(ctx, 30);
+                }
+                ring_member(ctx, &rx, &tx, &log);
+            });
+        }
+        let inject = chans[0].0.clone();
+        let late = move |ctx: &ProcCtx| {
+            // Event times are whole microseconds, so this one is unshared.
+            ctx.sleep_until(SimTime(2_345_678));
+            inject.send(ctx, 20);
+        };
+        let mut first_cut = SimTime::ZERO;
+        if cuts.is_empty() {
+            sim.spawn_at("late", late_at, late.clone());
+        }
+        for (i, &cut) in cuts.iter().enumerate() {
+            sim.run_until(cut);
+            if i == 0 {
+                first_cut = sim.now();
+                sim.spawn("late", late.clone());
+            }
+        }
+        sim.run();
+        let executed = sim.events_executed();
+        drop(sim);
+        let log = log.lock().clone();
+        (log, executed, first_cut)
+    }
+
+    #[test]
+    fn sliced_ring_matches_unsliced_run() {
+        let cuts: Vec<SimTime> = [700_000, 1_500_000, 1_500_001, 2_345_678, 4_000_000]
+            .into_iter()
+            .map(SimTime)
+            .collect();
+        let (sliced, sliced_events, late_at) = ring(&cuts, SimTime::ZERO);
+        let (whole, whole_events, _) = ring(&[], late_at);
+        assert!(late_at > SimTime::ZERO, "the first cut falls mid-run");
+        assert_eq!(sliced.len(), 31 + 21, "both tokens travel every hop");
+        assert_eq!(sliced, whole);
+        assert_eq!(sliced_events, whole_events);
+    }
+
+    #[test]
+    fn panic_at_the_end_of_a_wake_chain_reaches_run() {
+        let mut sim = Sim::new(1);
+        let (to_b, at_b) = sim.channel::<()>();
+        let (to_c, at_c) = sim.channel::<()>();
+        sim.spawn("c", move |ctx| {
+            at_c.recv(ctx);
+            panic!("boom in c");
+        });
+        sim.spawn("b", move |ctx| {
+            at_b.recv(ctx);
+            to_c.send(ctx, ());
+            ctx.sleep(Dur::from_secs(1));
+        });
+        sim.spawn("a", move |ctx| {
+            ctx.sleep(Dur::from_millis(5));
+            to_b.send(ctx, ());
+        });
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"boom in c"));
+    }
+
+    #[test]
+    fn timer_panic_reaches_run_from_a_parking_or_exiting_process() {
+        for exits in [false, true] {
+            let mut sim = Sim::new(1);
+            sim.shared
+                .state
+                .lock()
+                .schedule_call(SimTime(2_000_000), Box::new(|_| panic!("timer boom")));
+            sim.spawn("p", move |ctx| {
+                ctx.sleep(Dur::from_millis(1));
+                if !exits {
+                    // The timer fires inside this park's dispatch.
+                    ctx.sleep(Dur::from_millis(5));
+                }
+            });
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+            assert_eq!(
+                err.downcast_ref::<&str>(),
+                Some(&"timer boom"),
+                "exits: {exits}"
+            );
+        }
+    }
+
+    #[test]
+    fn drop_after_run_until_joins_every_parked_process() {
+        let unwound = Arc::new(Mutex::new(Vec::new()));
+        let (joined_tx, joined_rx) = mpsc::channel();
+        let u = unwound.clone();
+        let driver = std::thread::spawn(move || {
+            let mut sim = Sim::new(1);
+            let (_tx, rx) = sim.channel::<u8>();
+            let gpu = Arc::new(crate::GpsResource::new(&sim, 1.0));
+            let log = |what: &'static str| {
+                let u = u.clone();
+                move || u.lock().push(what)
+            };
+            let after = log("timer");
+            sim.spawn("timer", move |ctx| {
+                ctx.sleep(Dur::from_secs(60));
+                after();
+            });
+            let after = log("recv");
+            sim.spawn("recv", move |ctx| {
+                assert!(rx.recv(ctx).is_none(), "shutdown closes recv");
+                after();
+            });
+            let after = log("gps");
+            sim.spawn("gps", move |ctx| {
+                gpu.acquire(ctx, 60.0);
+                after();
+            });
+            sim.run_until(SimTime::ZERO + Dur::from_secs(1));
+            assert_eq!(sim.blocked_processes().len(), 3);
+            drop(sim);
+            joined_tx.send(()).unwrap();
+        });
+        joined_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("dropping the simulation must join every process thread");
+        driver
+            .join()
+            .expect("the driver thread finished without panicking");
+        // Only recv offers a clean exit; the timer and GPS parks unwind.
+        assert_eq!(*unwound.lock(), vec!["recv"]);
+    }
+
+    #[test]
+    fn recv_timeout_race_counts_the_stale_wake() {
+        let mut sim = Sim::new(1);
+        let (tx, rx) = sim.channel::<u32>();
+        let got = Arc::new(Mutex::new(None));
+        let g = got.clone();
+        sim.spawn("tx", move |ctx| {
+            ctx.sleep(Dur::from_millis(10));
+            tx.send(ctx, 7);
+        });
+        sim.spawn("rx", move |ctx| {
+            let r = rx.recv_timeout(ctx, Dur::from_millis(10));
+            *g.lock() = Some((r, ctx.now()));
+        });
+        sim.run();
+        assert_eq!(
+            got.lock().take(),
+            Some((Ok(7), SimTime::ZERO + Dur::from_millis(10)))
+        );
+        // Two spawn wakes, the sender's sleep, then at 10 ms the receiver's
+        // timer (scheduled first, so it resumes the receiver) and the
+        // sender's wake for the same park, which is stale but still counts.
+        assert_eq!(sim.events_executed(), 5);
     }
 }

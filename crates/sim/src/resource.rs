@@ -24,16 +24,33 @@ use crate::time::{Dur, SimTime};
 
 /// Transition log of a resource's active-job count. Appended on every
 /// arrival/departure; queried for busy time and utilization.
+///
+/// Entry times strictly increase, so each entry keeps only the low 32 bits
+/// of its time and the high words are run-length encoded in `epochs`: an
+/// entry costs 8 bytes rather than 16. A link logs two entries per frame,
+/// so this log is most of a long run's live memory.
 #[derive(Default, Clone)]
 pub struct Timeline {
-    /// `(time, active)` — the active count from `time` until the next entry.
-    entries: Vec<(SimTime, u32)>,
+    /// `(low 32 bits of time, active)` — the active count from that time
+    /// until the next entry.
+    steps: Vec<(u32, u32)>,
+    /// `(high 32 bits of time, index of the first step with them)`,
+    /// ascending in both.
+    epochs: Vec<(u32, usize)>,
+}
+
+fn split(t: SimTime) -> (u32, u32) {
+    ((t.0 >> 32) as u32, t.0 as u32)
+}
+
+fn join(hi: u32, lo: u32) -> SimTime {
+    SimTime(u64::from(hi) << 32 | u64::from(lo))
 }
 
 impl Timeline {
     fn record(&mut self, t: SimTime, active: u32) {
-        if let Some(last) = self.entries.last_mut() {
-            if last.0 == t {
+        if let (Some(last), Some(&(hi, _))) = (self.steps.last_mut(), self.epochs.last()) {
+            if join(hi, last.0) == t {
                 last.1 = active;
                 return;
             }
@@ -41,37 +58,73 @@ impl Timeline {
                 return;
             }
         }
-        self.entries.push((t, active));
+        let (hi, lo) = split(t);
+        if self.epochs.last().is_none_or(|e| e.0 != hi) {
+            self.epochs.push((hi, self.steps.len()));
+        }
+        self.steps.push((lo, active));
+    }
+
+    /// Entries from index `from` on, as `(time, active)`.
+    fn entries_from(&self, from: usize) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+        let mut k = self
+            .epochs
+            .partition_point(|e| e.1 <= from)
+            .saturating_sub(1);
+        self.steps[from..]
+            .iter()
+            .zip(from..)
+            .map(move |(&(lo, active), i)| {
+                while self.epochs.get(k + 1).is_some_and(|e| e.1 <= i) {
+                    k += 1;
+                }
+                (join(self.epochs[k].0, lo), active)
+            })
+    }
+
+    /// Binary search for the entry at time `t`, as
+    /// [`slice::binary_search`] over the entry times.
+    fn search(&self, t: SimTime) -> Result<usize, usize> {
+        let (hi, lo) = split(t);
+        // Every step of an epoch with a smaller high word is earlier than `t`.
+        let k = self.epochs.partition_point(|e| e.0 < hi);
+        match self.epochs.get(k) {
+            Some(&(h, first)) if h == hi => {
+                let end = self.epochs.get(k + 1).map_or(self.steps.len(), |e| e.1);
+                self.steps[first..end]
+                    .binary_search_by_key(&lo, |s| s.0)
+                    .map(|i| first + i)
+                    .map_err(|i| first + i)
+            }
+            Some(&(_, first)) => Err(first),
+            None => Err(self.steps.len()),
+        }
     }
 
     /// Active count at time `t` (0 before the first entry).
     pub fn active_at(&self, t: SimTime) -> u32 {
-        match self.entries.binary_search_by_key(&t, |e| e.0) {
-            Ok(i) => self.entries[i].1,
+        match self.search(t) {
+            Ok(i) => self.steps[i].1,
             Err(0) => 0,
-            Err(i) => self.entries[i - 1].1,
+            Err(i) => self.steps[i - 1].1,
         }
     }
 
     /// Time within `[a, b)` during which at least one job was active.
     pub fn busy_between(&self, a: SimTime, b: SimTime) -> Dur {
-        if b <= a || self.entries.is_empty() {
+        if b <= a || self.steps.is_empty() {
             return Dur::ZERO;
         }
         let mut busy = 0u64;
-        let start_idx = match self.entries.binary_search_by_key(&a, |e| e.0) {
+        let start_idx = match self.search(a) {
             Ok(i) => i,
             Err(0) => 0,
             Err(i) => i - 1,
         };
-        for (i, &(t, active)) in self.entries.iter().enumerate().skip(start_idx) {
+        let mut entries = self.entries_from(start_idx).peekable();
+        while let Some((t, active)) = entries.next() {
             let seg_start = t.max(a);
-            let seg_end = self
-                .entries
-                .get(i + 1)
-                .map(|e| e.0)
-                .unwrap_or(SimTime::MAX)
-                .min(b);
+            let seg_end = entries.peek().map_or(SimTime::MAX, |e| e.0).min(b);
             if seg_end <= seg_start {
                 if t >= b {
                     break;
@@ -109,18 +162,14 @@ impl Timeline {
 
     /// Mean active-job count over `[a, b)` (time-weighted).
     pub fn avg_active(&self, a: SimTime, b: SimTime) -> f64 {
-        if b <= a || self.entries.is_empty() {
+        if b <= a || self.steps.is_empty() {
             return 0.0;
         }
         let mut weighted = 0.0;
-        for (i, &(t, active)) in self.entries.iter().enumerate() {
+        let mut entries = self.entries_from(0).peekable();
+        while let Some((t, active)) = entries.next() {
             let seg_start = t.max(a);
-            let seg_end = self
-                .entries
-                .get(i + 1)
-                .map(|e| e.0)
-                .unwrap_or(SimTime::MAX)
-                .min(b);
+            let seg_end = entries.peek().map_or(SimTime::MAX, |e| e.0).min(b);
             if seg_end > seg_start {
                 weighted += active as f64 * seg_end.since(seg_start).as_secs_f64();
             }
@@ -130,12 +179,12 @@ impl Timeline {
 
     /// Number of recorded transitions (for memory diagnostics).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.steps.len()
     }
 
     /// True if nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.steps.is_empty()
     }
 }
 
@@ -546,5 +595,50 @@ mod tests {
         });
         sim.run();
         assert!(*done.lock());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The compact log answers every query as a plain `(time, active)`
+        /// list would, across many 2^32 ns epochs and same-time rewrites.
+        #[test]
+        fn compact_timeline_matches_plain_list(
+            steps in proptest::collection::vec((0u64..3_000_000_000, 0u32..4), 1..80),
+            probes in proptest::collection::vec(0u64..60_000_000_000, 1..12),
+        ) {
+            let (mut tl, mut plain) = (Timeline::default(), Vec::<(SimTime, u32)>::new());
+            let mut t = 0;
+            for (gap, active) in steps {
+                // Every fourth gap is zero, to rewrite the last entry in place.
+                t += if gap % 4 == 0 { 0 } else { gap * 7 };
+                tl.record(SimTime(t), active);
+                match plain.last_mut() {
+                    Some(last) if last.0 == SimTime(t) => last.1 = active,
+                    Some(last) if last.1 == active => {}
+                    _ => plain.push((SimTime(t), active)),
+                }
+            }
+            proptest::prop_assert_eq!(tl.len(), plain.len());
+            let active_at = |p: SimTime| plain.iter().rev().find(|e| e.0 <= p).map_or(0, |e| e.1);
+            let segment_end = |i: usize| plain.get(i + 1).map_or(SimTime::MAX, |e| e.0);
+            for w in probes.windows(2) {
+                let (a, b) = (SimTime(w[0].min(w[1])), SimTime(w[0].max(w[1]) + 1));
+                proptest::prop_assert_eq!(tl.active_at(a), active_at(a));
+                let busy: u64 = (0..plain.len())
+                    .filter(|&i| plain[i].1 >= 1)
+                    .map(|i| segment_end(i).min(b).0.saturating_sub(plain[i].0.max(a).0))
+                    .sum();
+                proptest::prop_assert_eq!(tl.busy_between(a, b), Dur(busy));
+                let weighted: f64 = (0..plain.len())
+                    .map(|i| {
+                        let span = segment_end(i).min(b).0.saturating_sub(plain[i].0.max(a).0);
+                        plain[i].1 as f64 * Dur(span).as_secs_f64()
+                    })
+                    .sum();
+                let avg = weighted / b.since(a).as_secs_f64();
+                proptest::prop_assert!((tl.avg_active(a, b) - avg).abs() <= 1e-9 * avg.max(1.0));
+            }
+        }
     }
 }

@@ -3,9 +3,12 @@
 use std::sync::Arc;
 
 use dgsf_sim::stats::percentile;
-use dgsf_sim::{percentile_sorted, Dur, GpsResource, Sim, SimTime, Summary};
+use dgsf_sim::{
+    percentile_sorted, Dur, GpsResource, Sim, SimReceiver, SimSender, SimTime, Summary,
+};
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use rand::Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -117,6 +120,107 @@ proptest! {
         sim.run();
         let got = got.lock().clone();
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
+    }
+}
+
+/// One step of a generated process.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Sleep this many microseconds.
+    Sleep(u64),
+    /// Sleep 1–499 µs drawn from the simulation's RNG.
+    Jitter,
+    /// Send a value on a shared channel.
+    Send(usize, u32),
+    /// Receive from a shared channel, giving up after this many µs.
+    RecvTimeout(usize, u64),
+    /// Spawn a child running these steps.
+    Spawn(Vec<Op>),
+}
+
+const CHANNELS: usize = 3;
+
+fn leaf_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (1u64..500).prop_map(Op::Sleep),
+        (0u8..1).prop_map(|_| Op::Jitter),
+        (0..CHANNELS, any::<u32>()).prop_map(|(c, v)| Op::Send(c, v)),
+        (0..CHANNELS, 1u64..500).prop_map(|(c, t)| Op::RecvTimeout(c, t)),
+    ]
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => leaf_op(),
+        1 => proptest::collection::vec(leaf_op(), 1..4).prop_map(Op::Spawn),
+    ]
+}
+
+type StepLog = Arc<Mutex<Vec<(u64, u64, u32)>>>;
+
+/// Run `ops`, logging `(time, pid, step)` after every step.
+fn interpret(
+    ctx: &dgsf_sim::ProcCtx,
+    ops: &[Op],
+    chans: &[(SimSender<u32>, SimReceiver<u32>)],
+    log: &StepLog,
+) {
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            Op::Sleep(us) => ctx.sleep(Dur::from_micros(*us)),
+            Op::Jitter => ctx.sleep(Dur::from_micros(ctx.with_rng(|r| r.gen_range(1..500)))),
+            Op::Send(c, v) => chans[*c].0.send(ctx, *v),
+            Op::RecvTimeout(c, us) => {
+                let _ = chans[*c].1.recv_timeout(ctx, Dur::from_micros(*us));
+            }
+            Op::Spawn(child) => {
+                let (child, chans, log) = (child.clone(), chans.to_vec(), log.clone());
+                ctx.spawn("child", move |c| interpret(c, &child, &chans, &log));
+            }
+        }
+        log.lock()
+            .push((ctx.now().as_nanos(), ctx.pid().0, step as u32));
+    }
+}
+
+/// Run a generated program, stopping at each of `cuts` (ns) before
+/// running to the end. Returns the step log and the event count.
+fn run_program(programs: &[Vec<Op>], seed: u64, cuts: &[u64]) -> (Vec<(u64, u64, u32)>, u64) {
+    let mut sim = Sim::new(seed);
+    let chans: Vec<_> = (0..CHANNELS).map(|_| sim.channel::<u32>()).collect();
+    let log = StepLog::default();
+    for (i, ops) in programs.iter().enumerate() {
+        let (ops, chans, log) = (ops.clone(), chans.clone(), log.clone());
+        sim.spawn(&format!("p{i}"), move |ctx| {
+            interpret(ctx, &ops, &chans, &log)
+        });
+    }
+    for &cut in cuts {
+        sim.run_until(SimTime(cut));
+    }
+    sim.run();
+    let executed = sim.events_executed();
+    drop(sim);
+    let log = log.lock().clone();
+    (log, executed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Slicing a run with `run_until` changes nothing: the step log and the
+    /// event count equal an unsliced `run()`'s, and repeat at the same seed.
+    #[test]
+    fn run_until_slices_are_invisible(
+        programs in proptest::collection::vec(proptest::collection::vec(op(), 1..8), 1..7),
+        cuts in proptest::collection::vec(0u64..3_000_000, 0..6),
+        seed in any::<u64>(),
+    ) {
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        let whole = run_program(&programs, seed, &[]);
+        prop_assert_eq!(&run_program(&programs, seed, &cuts), &whole);
+        prop_assert_eq!(&run_program(&programs, seed, &[]), &whole);
     }
 }
 

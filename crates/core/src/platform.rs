@@ -232,9 +232,10 @@ impl PlatformConfig {
     }
 
     /// Builder-style: enable the online observability plane. The runner
-    /// builds one [`dgsf_sim::ObsPlane`] per run, feeds it from the
-    /// backend and every monitor, and attaches its [`dgsf_sim::ObsReport`]
-    /// to the run output.
+    /// installs one [`dgsf_sim::ObsPlane`] per run on the simulation's
+    /// telemetry registry, where the backend and every monitor reach it,
+    /// and attaches its [`dgsf_sim::ObsReport`] to the run output. The
+    /// plane does not depend on telemetry recording being on.
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = Some(obs);
         self

@@ -17,7 +17,8 @@ use dgsf_serverless::{
     Schedule, Workload,
 };
 use dgsf_sim::{
-    Dur, ObsPlane, ObsReport, ProcCtx, Sim, SimHandle, SimTime, Telemetry, Timeline, TraceOutcome,
+    Dur, ObsConfig, ObsPlane, ObsReport, ProcCtx, Sim, SimHandle, SimTime, Telemetry, Timeline,
+    TraceOutcome,
 };
 use parking_lot::Mutex;
 
@@ -192,7 +193,7 @@ impl Testbed {
         let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
         let schedule = schedule.clone();
         let ((results, (records, migrations, gpu_timelines)), telemetry) =
-            simulate(cfg.seed, trace, "platform-root", move |p, h, out| {
+            simulate(cfg.seed, trace, None, "platform-root", move |p, h, out| {
                 let server = GpuServer::provision(p, h, server_cfg);
                 let server2 = Arc::clone(&server);
                 launch(
@@ -269,15 +270,11 @@ impl Testbed {
         let cfg2 = cfg.clone();
         let suite: Vec<Arc<dyn Workload>> = suite.to_vec();
         let schedule = schedule.clone();
-        let plane = cfg.obs.clone().map(|o| Arc::new(ObsPlane::new(o)));
-        let plane2 = plane.clone();
+        let obs = cfg.obs.clone();
         let ((results, (records, migrations, pool_sizes)), telemetry) =
-            simulate(cfg.seed, trace, "platform-root", move |p, h, out| {
+            simulate(cfg.seed, trace, obs, "platform-root", move |p, h, out| {
                 let fleet: Vec<Arc<GpuServer>> = (0..cfg2.num_servers)
-                    .map(|i| {
-                        let obs = plane2.clone().map(|pl| (pl, format!("srv{i}")));
-                        GpuServer::provision_observed(p, h, cfg2.server.clone(), obs)
-                    })
+                    .map(|_| GpuServer::provision(p, h, cfg2.server.clone()))
                     .collect();
                 let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
                 if let Some(adm) = cfg2.admission.clone() {
@@ -285,9 +282,6 @@ impl Testbed {
                 }
                 if let Some(sticky) = cfg2.sticky.clone() {
                     backend = backend.with_sticky(sticky);
-                }
-                if let Some(pl) = plane2 {
-                    backend = backend.with_obs(pl);
                 }
                 let opts = cfg2.opts;
                 launch(
@@ -307,19 +301,19 @@ impl Testbed {
                 );
             });
         let (first_launch, all_done) = window(&results);
-        let obs = plane.map(|pl| pl.report());
-        (
-            BackendRunOutput {
-                results,
-                records,
-                migrations,
-                pool_sizes,
-                first_launch,
-                all_done,
-                obs,
-            },
-            telemetry,
-        )
+        let out = BackendRunOutput {
+            results,
+            records,
+            migrations,
+            pool_sizes,
+            first_launch,
+            all_done,
+            obs: telemetry.obs().map(ObsPlane::report),
+        };
+        // Every fleet run is oracle-checked in debug builds.
+        #[cfg(debug_assertions)]
+        crate::check_backend_run(&out).assert_ok();
+        (out, telemetry)
     }
 
     /// Run one workload alone over DGSF (warm server, no contention).
@@ -371,7 +365,7 @@ impl Testbed {
     ) -> (FunctionResult, Arc<Telemetry>) {
         let store = ObjectStore::new(dgsf_remoting::NetProfile::datacenter().s3_bw);
         let costs = Arc::new(costs.clone());
-        simulate(seed, trace, "native-root", move |p, h, out| {
+        simulate(seed, trace, None, "native-root", move |p, h, out| {
             *out.lock() = Some(invoke_native(p, h, &store, w.as_ref(), costs));
         })
     }
@@ -379,7 +373,7 @@ impl Testbed {
     /// Run one workload on the CPU baseline (6 threads, cost-modeled).
     pub fn run_cpu_once(seed: u64, w: Arc<dyn Workload>) -> FunctionResult {
         let store = ObjectStore::new(dgsf_remoting::NetProfile::datacenter().s3_bw);
-        simulate(seed, false, "cpu-root", move |p, _, out| {
+        simulate(seed, false, None, "cpu-root", move |p, _, out| {
             *out.lock() = Some(invoke_cpu(p, &store, w.as_ref()));
         })
         .0
@@ -391,12 +385,13 @@ impl Testbed {
 type Slot<T> = Arc<Mutex<Option<T>>>;
 
 /// The one simulation harness behind every runner: build a `Sim` seeded
-/// with `seed` (telemetry recording iff `trace`), run `root` as the process
-/// named `root_name` until the event queue drains, and take what it left
-/// in its slot.
+/// with `seed` (telemetry recording iff `trace`, an obs plane iff `obs`),
+/// run `root` as the process named `root_name` until the event queue
+/// drains, and take what it left in its slot.
 fn simulate<T: Send + 'static>(
     seed: u64,
     trace: bool,
+    obs: Option<ObsConfig>,
     root_name: &str,
     root: impl FnOnce(&ProcCtx, &SimHandle, Slot<T>) + Send + 'static,
 ) -> (T, Arc<Telemetry>) {
@@ -404,6 +399,9 @@ fn simulate<T: Send + 'static>(
     let telemetry = sim.telemetry();
     if trace {
         telemetry.enable();
+    }
+    if let Some(cfg) = obs {
+        telemetry.observe(cfg);
     }
     let h = sim.handle();
     let slot: Slot<T> = Arc::new(Mutex::new(None));

@@ -15,7 +15,8 @@
 //!
 //! [`AutoscaleConfig::predictive`] layers the online observability plane
 //! ([`dgsf_sim::ObsPlane`]) on top of the reactive policy. Each tick the
-//! monitor feeds the scaler two streamed signals
+//! monitor reads the run's plane from the simulation's telemetry registry
+//! ([`dgsf_sim::Telemetry::obs`]) and feeds the scaler two streamed signals
 //! ([`Autoscaler::observe_signals`]): whether the arrival rate is ramping
 //! (current window vs. the EWMA estimate) and the queue-attributed share
 //! of tail latency. Two behaviours change:
@@ -100,8 +101,9 @@ impl AutoscaleConfig {
 
     /// Like [`AutoscaleConfig::new`] but in predictive mode with default
     /// [`PredictiveConfig`] knobs: pre-warm on rate ramps, gate reactive
-    /// growth on queue attribution. Requires an obs plane to be wired into
-    /// the monitor; without one the policy degrades to plain reactive.
+    /// growth on queue attribution. Reads the run's obs plane
+    /// ([`dgsf_sim::Telemetry::obs`]); in a run without one the policy
+    /// degrades to plain reactive.
     pub fn predictive(min_per_gpu: u32, max_per_gpu: u32) -> AutoscaleConfig {
         AutoscaleConfig::new(min_per_gpu, max_per_gpu).with_predictive(PredictiveConfig::default())
     }

@@ -21,9 +21,7 @@ use std::sync::Arc;
 use dgsf_cuda::{CostTable, CudaContext, ModuleRegistry};
 use dgsf_gpu::{Gpu, GpuId};
 use dgsf_remoting::{NetLink, RpcClient};
-use dgsf_sim::{
-    Dur, ObsPlane, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx,
-};
+use dgsf_sim::{Dur, ProcCtx, RecvError, SimHandle, SimReceiver, SimSender, SimTime, TraceCtx};
 use parking_lot::Mutex;
 
 use crate::api_server::{
@@ -215,13 +213,13 @@ impl MonQueue {
     }
 }
 
-pub(crate) struct MonitorArgs {
+/// Immutable monitor context shared by the helpers below; built by
+/// [`crate::GpuServer::provision`].
+pub(crate) struct MonCtx {
     pub h: SimHandle,
     pub cfg: GpuServerConfig,
     pub gpus: Vec<Arc<Gpu>>,
     pub link: Arc<NetLink>,
-    pub servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)>,
-    pub rx: SimReceiver<MonitorMsg>,
     pub records: Arc<Mutex<HashMap<u64, InvocationRecord>>>,
     /// Shared cost table (the autoscaler creates contexts for new servers).
     pub costs: Arc<CostTable>,
@@ -235,57 +233,19 @@ pub(crate) struct MonitorArgs {
     /// Ids of API servers whose lease expired, shared with
     /// [`crate::GpuServer`] so the cluster balancer can see dead capacity.
     pub failed_servers: Arc<Mutex<HashSet<u32>>>,
-    /// Online observability plane plus this server's stable label (e.g.
-    /// `srv0`). When present the monitor feeds per-GPU health scores each
-    /// tick and a predictive autoscaler reads its streamed signals.
-    pub obs: Option<(Arc<ObsPlane>, String)>,
+    /// This server's stable label (e.g. `srv0`) on the run's obs plane;
+    /// `None` when the run installed no plane.
+    pub health_label: Option<String>,
 }
 
-/// Immutable monitor context shared by the helpers below.
-struct MonCtx {
-    h: SimHandle,
-    cfg: GpuServerConfig,
-    gpus: Vec<Arc<Gpu>>,
-    link: Arc<NetLink>,
-    records: Arc<Mutex<HashMap<u64, InvocationRecord>>>,
-    costs: Arc<CostTable>,
-    monitor_tx: SimSender<MonitorMsg>,
-    migration_log: Arc<Mutex<Vec<MigrationRecord>>>,
-    registry: Arc<Mutex<Vec<Arc<ApiServerShared>>>>,
-    failed_servers: Arc<Mutex<HashSet<u32>>>,
-    obs: Option<(Arc<ObsPlane>, String)>,
-}
-
-/// Body of the monitor process.
-pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
-    let MonitorArgs {
-        h,
-        cfg,
-        gpus,
-        link,
-        servers,
-        rx,
-        records,
-        costs,
-        monitor_tx,
-        migration_log,
-        registry,
-        failed_servers,
-        obs,
-    } = args;
-    let a = MonCtx {
-        h,
-        cfg,
-        gpus,
-        link,
-        records,
-        costs,
-        monitor_tx,
-        migration_log,
-        registry,
-        failed_servers,
-        obs,
-    };
+/// Body of the monitor process: `servers` is the provisioned pool with
+/// each server's assignment channel, `rx` the monitor's inbox.
+pub(crate) fn run_monitor(
+    p: &ProcCtx,
+    a: MonCtx,
+    servers: Vec<(Arc<ApiServerShared>, SimSender<ServerCmd>)>,
+    rx: SimReceiver<MonitorMsg>,
+) {
     let spawn_time = p.now();
     let mut servers: Vec<SrvBook> = servers
         .into_iter()
@@ -463,7 +423,7 @@ pub(crate) fn run_monitor(p: &ProcCtx, args: MonitorArgs) {
 }
 
 /// Sample per-GPU memory and utilization timelines for telemetry, and —
-/// when an obs plane is wired — derive per-GPU health scores from the same
+/// when the run has an obs plane — derive per-GPU health scores from the same
 /// gauges. The utilization is the busy fraction of the since-last-sample
 /// window in integer basis points (floats never reach an export); health is
 /// `1000 − max(mem_permille, util_permille)`, so a GPU scores low when
@@ -473,7 +433,8 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
     let since = *last_sample;
     *last_sample = now;
     let tel = p.telemetry();
-    if !tel.is_enabled() && a.obs.is_none() {
+    let health = tel.obs().zip(a.health_label.as_deref());
+    if !tel.is_enabled() && health.is_none() {
         return;
     }
     let window = now.since(since).as_nanos();
@@ -487,7 +448,7 @@ fn sample_gpus(p: &ProcCtx, a: &MonCtx, last_sample: &mut SimTime) {
         if let (true, Some(util_bp)) = (tel.is_enabled(), util_bp) {
             tel.gauge_set(&format!("gpu.{i}.util_bp"), now, util_bp as i64);
         }
-        if let Some((obs, label)) = &a.obs {
+        if let Some((obs, label)) = health {
             let mem_permille = used.saturating_mul(1000) / gpu.total_mem().max(1);
             let util_permille = util_bp.unwrap_or(0) / 10;
             let score = 1000u64.saturating_sub(mem_permille.max(util_permille).min(1000));
@@ -736,7 +697,7 @@ fn autoscale_tick(
     // Predictive mode reads the obs plane's streamed signals: the
     // arrival-rate ramp (pre-warm trigger) and the queue-attributed share
     // of tail latency (reactive-growth gate).
-    if let Some((obs, _)) = &a.obs {
+    if let Some(obs) = p.telemetry().obs() {
         scaler.observe_signals(obs.rate_ramp(now), obs.tail_queue_share_permille(now));
     }
     scaler.observe_queue(oldest_wait);

@@ -24,7 +24,7 @@ use crate::api_server::{
     run_api_server, ApiServerArgs, ApiServerShared, MigrationRecord, ServerCmd,
 };
 use crate::config::GpuServerConfig;
-use crate::monitor::{run_monitor, FnRequest, InvocationRecord, MonitorArgs, MonitorMsg};
+use crate::monitor::{run_monitor, FnRequest, InvocationRecord, MonCtx, MonitorMsg};
 
 /// Why [`GpuServer::try_request_gpu`] could not hand out a virtual GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,21 +139,14 @@ impl GpuServer {
     /// platform's root); API servers and the monitor are spawned as
     /// sibling processes and are ready immediately (warm pool — the paper
     /// always measures warm starts, §VI).
+    ///
+    /// When the run has an obs plane ([`dgsf_sim::Telemetry::obs`]), the
+    /// server registers on it under the next stable label (`srv0`, `srv1`,
+    /// … in provision order): the monitor feeds per-GPU health scores each
+    /// tick, and a predictive autoscaler
+    /// ([`crate::AutoscaleConfig::predictive`]) reads the plane's streamed
+    /// rate-ramp and queue-attribution signals.
     pub fn provision(p: &ProcCtx, h: &SimHandle, cfg: GpuServerConfig) -> Arc<GpuServer> {
-        GpuServer::provision_observed(p, h, cfg, None)
-    }
-
-    /// Like [`GpuServer::provision`], but wires an online observability
-    /// plane into the monitor under a stable server label (e.g. `srv0`):
-    /// the monitor feeds per-GPU health scores each tick, and a predictive
-    /// autoscaler ([`crate::AutoscaleConfig::predictive`]) reads the
-    /// plane's streamed rate-ramp and queue-attribution signals.
-    pub fn provision_observed(
-        p: &ProcCtx,
-        h: &SimHandle,
-        cfg: GpuServerConfig,
-        obs: Option<(Arc<ObsPlane>, String)>,
-    ) -> Arc<GpuServer> {
         let mut cfg = cfg;
         // Chaos implies hardening: a faulted run must terminate even when
         // requests or replies vanish, so installing a fault plan fills in
@@ -211,22 +204,22 @@ impl GpuServer {
 
         let servers = Arc::new(Mutex::new(servers));
         let failed_servers = Arc::new(Mutex::new(HashSet::new()));
-        let margs = MonitorArgs {
+        let mon = MonCtx {
             h: h.clone(),
             cfg: cfg.clone(),
             gpus: gpus.clone(),
             link: Arc::clone(&link),
-            servers: monitor_servers,
-            rx: monitor_rx,
             records: Arc::clone(&records),
             costs: Arc::clone(&costs),
             monitor_tx: monitor_tx.clone(),
             migration_log: Arc::clone(&migration_log),
             registry: Arc::clone(&servers),
             failed_servers: Arc::clone(&failed_servers),
-            obs,
+            health_label: p.telemetry().obs().map(ObsPlane::register_server),
         };
-        h.spawn("monitor", move |pp| run_monitor(pp, margs));
+        h.spawn("monitor", move |pp| {
+            run_monitor(pp, mon, monitor_servers, monitor_rx)
+        });
 
         // Schedule the fault plan's API-server kills on the virtual clock.
         if let Some(plan) = &cfg.faults {

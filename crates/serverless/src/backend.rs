@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServer, InvocationOutcome, ShedPolicy};
-use dgsf_sim::{Dur, ObsPlane, ProcCtx, SimTime, TraceCtx, TraceOutcome};
+use dgsf_sim::{Dur, ProcCtx, SimTime, TraceCtx, TraceOutcome};
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterBalancer;
@@ -219,11 +219,6 @@ pub struct Backend {
     retry: RetryPolicy,
     admission: Option<AdmissionConfig>,
     admitted: Mutex<AdmissionState>,
-    /// Online observability plane: fed one arrival per invocation and one
-    /// completion per terminal outcome (with the queue wait summed across
-    /// every attempt, matching the offline trace decomposition), and
-    /// consulted for per-tenant burn-rate shedding.
-    obs: Option<Arc<ObsPlane>>,
 }
 
 impl Backend {
@@ -239,18 +234,7 @@ impl Backend {
             retry: RetryPolicy::default(),
             admission: None,
             admitted: Mutex::new(AdmissionState::default()),
-            obs: None,
         }
-    }
-
-    /// Feed the online observability plane: every invocation records an
-    /// arrival on entry and a completion (with its attempt-summed queue
-    /// wait) on any terminal outcome, and — when the plane's shed
-    /// threshold is configured — new work from a tenant burning its SLO
-    /// budget on queueing is refused at the front door.
-    pub fn with_obs(mut self, obs: Arc<ObsPlane>) -> Backend {
-        self.obs = Some(obs);
-        self
     }
 
     /// Override the retry policy.
@@ -340,7 +324,7 @@ impl Backend {
         let launched_at = p.now();
         let tel = p.telemetry();
         tel.counter_add("backend.invocations", 1);
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = tel.obs() {
             obs.record_arrival(launched_at);
         }
         // One causal trace per request, spanning every retry attempt; the
@@ -465,7 +449,9 @@ impl Backend {
 
     /// The one terminal path of [`invoke`](Self::invoke): count a shed or
     /// failure (a shed also leaves a `shed` instant), close the request's
-    /// `req:` span, feed the obs plane, and build the caller's result.
+    /// `req:` span, feed the obs plane (with the queue wait summed across
+    /// every attempt, matching the offline trace decomposition), and build
+    /// the caller's result.
     fn finish(
         &self,
         p: &ProcCtx,
@@ -509,7 +495,7 @@ impl Backend {
             outcome,
             exit.attempts,
         );
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = tel.obs() {
             let e2e = p.now().since(launched_at);
             obs.record_completion(p.now(), w.tenant(), e2e, queue_wait, outcome);
         }
@@ -536,15 +522,6 @@ impl Backend {
         p: &ProcCtx,
         w: &dyn Workload,
     ) -> Result<Option<AdmissionSlot<'_>>, String> {
-        // Burn-rate shedding: when the obs plane says this tenant is
-        // burning its SLO budget on queueing faster than the configured
-        // threshold, refuse new work before it joins the queue and makes
-        // the burn worse. Independent of classic admission control.
-        if let Some(obs) = &self.obs {
-            if obs.shed_due(p.now(), w.tenant()) {
-                return Err(format!("tenant '{}' over SLO burn-rate budget", w.tenant()));
-            }
-        }
         let Some(adm) = &self.admission else {
             return Ok(None); // no admission control: everything enters
         };

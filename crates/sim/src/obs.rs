@@ -2,11 +2,15 @@
 //! burn-rate alerting and per-server health scoring — all deterministic,
 //! integer-only, and usable *while the simulation runs*.
 //!
-//! PR 2's telemetry and PR 5's critical-path attribution are post-hoc:
-//! metrics and traces are exported after a run, so nothing in the platform
-//! can act on them while the fleet is serving. [`ObsPlane`] closes that
-//! loop. The hot paths (the serverless backend's front door, the monitor's
-//! sampling tick) feed it live events, and it maintains:
+//! Telemetry exports and critical-path attribution are post-hoc: metrics
+//! and traces are exported after a run, so nothing in the platform can act
+//! on them while the fleet is serving. [`ObsPlane`] closes that loop. A run
+//! installs one plane on its [`Telemetry`](crate::Telemetry) registry
+//! ([`Telemetry::observe`](crate::Telemetry::observe)); the hot paths (the
+//! serverless backend's front door and terminal path, the monitor's
+//! sampling tick) reach it through
+//! [`Telemetry::obs`](crate::Telemetry::obs), feed it live events, and it
+//! maintains:
 //!
 //! * a **fixed-window arrival counter** plus an **integer EWMA arrival-rate
 //!   estimator** (per-window counts, smoothed in units of arrivals ×1000 so
@@ -67,6 +71,7 @@
 //! byte-identical across same-seed reruns.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -162,18 +167,12 @@ pub struct ObsConfig {
     pub fast_windows: usize,
     /// Slow alert window, in aggregation windows (≥ `fast_windows`).
     pub slow_windows: usize,
-    /// When set, the backend sheds new requests from a tenant whose
-    /// fast-window burn rate is at or above this threshold (and whose
-    /// burn alert gate holds). `None` — the default — never sheds on
-    /// burn rate.
-    pub shed_burn_threshold_permille: Option<u64>,
 }
 
 impl ObsConfig {
     /// Moderate defaults: 500 ms windows, 30% EWMA, ramp at 1.5× the
     /// smoothed rate, 2 s SLO with a 10% budget, 2-window fast / 8-window
-    /// slow burn pair at 1× budget rate, 300‰ queue-share gate, no
-    /// burn-rate shedding.
+    /// slow burn pair at 1× budget rate, 300‰ queue-share gate.
     pub fn paper_default() -> ObsConfig {
         ObsConfig {
             window: Dur::from_millis(500),
@@ -181,7 +180,6 @@ impl ObsConfig {
             error_budget_permille: 100,
             fast_windows: 2,
             slow_windows: 8,
-            shed_burn_threshold_permille: None,
         }
     }
 
@@ -202,13 +200,6 @@ impl ObsConfig {
     pub fn with_burn_windows(mut self, fast: usize, slow: usize) -> Self {
         self.fast_windows = fast;
         self.slow_windows = slow;
-        self
-    }
-
-    /// Builder-style: shed new work from tenants burning at or above
-    /// `permille` of the sustainable budget rate.
-    pub fn with_shed_burn_threshold(mut self, permille: u64) -> Self {
-        self.shed_burn_threshold_permille = Some(permille);
         self
     }
 
@@ -494,54 +485,21 @@ impl Inner {
         }
         self.cur = WinAgg::default();
     }
-
-    /// Fast-set + current-partial-window burn for one tenant (the *live*
-    /// signal, ahead of finalization).
-    fn live_fast_burn(&self, cfg: &ObsConfig, tenant: &str) -> Option<u64> {
-        let mut acc = self
-            .tenant_hist
-            .get(tenant)
-            .map(|hist| {
-                let n = cfg.fast_windows.min(hist.len());
-                sum_set(hist.iter().skip(hist.len() - n))
-            })
-            .unwrap_or_default();
-        if let Some(cur) = self.cur_tenants.get(tenant) {
-            acc.total += cur.total;
-            acc.violations += cur.violations;
-            acc.tail_queue_ns += cur.tail_queue_ns;
-            acc.tail_e2e_ns += cur.tail_e2e_ns;
-        }
-        burn_permille(acc.total, acc.violations, cfg.error_budget_permille)
-    }
-
-    /// Fast-set + current-partial queue share of one tenant's violating
-    /// latency (the live analogue of the alert's attribution gate).
-    fn live_queue_share(&self, cfg: &ObsConfig, tenant: &str) -> Option<u64> {
-        let mut acc = self
-            .tenant_hist
-            .get(tenant)
-            .map(|hist| {
-                let n = cfg.fast_windows.min(hist.len());
-                sum_set(hist.iter().skip(hist.len() - n))
-            })
-            .unwrap_or_default();
-        if let Some(cur) = self.cur_tenants.get(tenant) {
-            acc.tail_queue_ns += cur.tail_queue_ns;
-            acc.tail_e2e_ns += cur.tail_e2e_ns;
-        }
-        share_permille(acc.tail_queue_ns, acc.tail_e2e_ns)
-    }
 }
 
-/// The online observability plane. Shared (`Arc`) between the serverless
-/// backend (arrival/completion feed), the monitors (health feed, scaling
-/// signals) and the harness (report export). Interior mutability only —
-/// every method takes `&self`.
+/// The online observability plane. Installed at most once per simulation
+/// on its [`Telemetry`](crate::Telemetry) registry
+/// ([`Telemetry::observe`](crate::Telemetry::observe)), where every
+/// process reaches it through [`Telemetry::obs`](crate::Telemetry::obs):
+/// the serverless backend feeds arrivals and completions, the monitors
+/// feed health and read the scaling signals, and the harness exports the
+/// report. Interior mutability only — every method takes `&self`.
 #[derive(Debug)]
 pub struct ObsPlane {
     cfg: ObsConfig,
     inner: Mutex<Inner>,
+    /// GPU servers registered so far (the next health label's index).
+    servers: AtomicUsize,
 }
 
 impl ObsPlane {
@@ -550,12 +508,14 @@ impl ObsPlane {
         ObsPlane {
             cfg,
             inner: Mutex::new(Inner::new()),
+            servers: AtomicUsize::new(0),
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
+    /// Register one GPU server and hand out its stable health label:
+    /// `srv0`, `srv1`, … in registration order.
+    pub fn register_server(&self) -> String {
+        format!("srv{}", self.servers.fetch_add(1, Ordering::Relaxed))
     }
 
     fn idx(&self, t: SimTime) -> u64 {
@@ -656,31 +616,6 @@ impl ObsPlane {
         q += inner.cur.tail_queue_ns;
         e += inner.cur.tail_e2e_ns;
         share_permille(q, e)
-    }
-
-    /// One tenant's live fast-window burn rate (`None` without data).
-    pub fn tenant_burn_permille(&self, now: SimTime, tenant: &str) -> Option<u64> {
-        let mut inner = self.inner.lock();
-        inner.roll(&self.cfg, self.idx(now));
-        inner.live_fast_burn(&self.cfg, tenant)
-    }
-
-    /// True when the backend should shed new work from `tenant`:
-    /// [`ObsConfig::shed_burn_threshold_permille`] is set, the tenant's
-    /// live fast-window burn is at or above it, and the queue-share gate
-    /// holds (burn caused by queueing overload, not by exec slowness).
-    pub fn shed_due(&self, now: SimTime, tenant: &str) -> bool {
-        let Some(th) = self.cfg.shed_burn_threshold_permille else {
-            return false;
-        };
-        let mut inner = self.inner.lock();
-        inner.roll(&self.cfg, self.idx(now));
-        inner
-            .live_fast_burn(&self.cfg, tenant)
-            .is_some_and(|b| b >= th)
-            && inner
-                .live_queue_share(&self.cfg, tenant)
-                .is_some_and(|s| s >= QUEUE_SHARE_THRESHOLD_PERMILLE)
     }
 
     /// Snapshot everything into an [`ObsReport`]. Non-destructive and
@@ -998,39 +933,6 @@ mod tests {
             "one rising edge, one falling edge: {:?}",
             r.alerts
         );
-    }
-
-    #[test]
-    fn shed_due_requires_threshold_and_queue_gate() {
-        let base = cfg();
-        let without = ObsPlane::new(base.clone());
-        let with = ObsPlane::new(base.with_shed_burn_threshold(1000));
-        for k in 0..10u64 {
-            let at = t(50 + k * 20);
-            for obs in [&without, &with] {
-                obs.record_completion(
-                    at,
-                    "hot",
-                    Dur::from_millis(400),
-                    Dur::from_millis(300),
-                    TraceOutcome::Completed,
-                );
-                obs.record_completion(
-                    at,
-                    "cpu",
-                    Dur::from_millis(400),
-                    Dur::ZERO,
-                    TraceOutcome::Completed,
-                );
-            }
-        }
-        assert!(!without.shed_due(t(300), "hot"), "no threshold configured");
-        assert!(with.shed_due(t(300), "hot"), "burning and queue-caused");
-        assert!(
-            !with.shed_due(t(300), "cpu"),
-            "exec-caused burn never sheds"
-        );
-        assert!(!with.shed_due(t(300), "idle"), "unknown tenant has no data");
     }
 
     #[test]

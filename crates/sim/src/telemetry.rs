@@ -31,13 +31,20 @@
 //! ([`Telemetry::metrics_json`]) and a Chrome trace-event file
 //! ([`Telemetry::chrome_trace_json`]) loadable in `chrome://tracing` /
 //! Perfetto.
+//!
+//! The registry also carries the run's online observability plane
+//! ([`ObsPlane`]), installed by [`Telemetry::observe`] and read through
+//! [`Telemetry::obs`]. The plane is independent of the recording flag: a
+//! run with the plane installed and recording off feeds it exactly as a
+//! traced run does.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use crate::obs::{ObsConfig, ObsPlane};
 use crate::stats::{log2_bucket, log2_quantile};
 use crate::time::{Dur, SimTime};
 
@@ -228,6 +235,7 @@ pub struct Telemetry {
     enabled: AtomicBool,
     state: Mutex<TelState>,
     next_trace: AtomicU64,
+    obs: OnceLock<ObsPlane>,
 }
 
 impl Default for Telemetry {
@@ -243,6 +251,7 @@ impl Telemetry {
             enabled: AtomicBool::new(false),
             state: Mutex::new(TelState::default()),
             next_trace: AtomicU64::new(1),
+            obs: OnceLock::new(),
         }
     }
 
@@ -264,6 +273,25 @@ impl Telemetry {
     /// arguments should guard on this to keep the disabled path free.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Install the online observability plane under `cfg`. Independent of
+    /// [`enable`](Self::enable); install before the first process runs so
+    /// the plane sees the whole run.
+    ///
+    /// # Panics
+    ///
+    /// If a plane is already installed.
+    pub fn observe(&self, cfg: ObsConfig) {
+        assert!(
+            self.obs.set(ObsPlane::new(cfg)).is_ok(),
+            "obs plane already installed"
+        );
+    }
+
+    /// The installed observability plane, if any.
+    pub fn obs(&self) -> Option<&ObsPlane> {
+        self.obs.get()
     }
 
     // ---- recording ----------------------------------------------------

@@ -97,7 +97,7 @@ fn ramp_is_byte_deterministic_and_predictive_sheds_strictly_fewer() {
 /// A single overloaded GPU server with the plane attached: arrivals at
 /// ~2× the service rate, so latency is queue-dominated and the burn-rate
 /// alert must fire with the queue-share gate open.
-fn overloaded_run(seed: u64) -> (ObsConfig, dgsf::BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
+fn overloaded_setup(seed: u64) -> (ObsConfig, PlatformConfig, Vec<Arc<dyn Workload>>, Schedule) {
     let ocfg = ObsConfig::paper_default()
         .with_window(Dur::from_secs(1))
         .with_slo(Dur::from_millis(900), 100);
@@ -114,8 +114,32 @@ fn overloaded_run(seed: u64) -> (ObsConfig, dgsf::BackendRunOutput, Arc<dgsf::si
             mean: Dur::from_millis(250),
         },
     );
+    (ocfg, cfg, suite, schedule)
+}
+
+/// [`overloaded_setup`] run with telemetry recording on.
+fn overloaded_run(seed: u64) -> (ObsConfig, dgsf::BackendRunOutput, Arc<dgsf::sim::Telemetry>) {
+    let (ocfg, cfg, suite, schedule) = overloaded_setup(seed);
     let (out, tel) = Testbed::run_platform_schedule_traced(&cfg, &suite, &schedule);
     (ocfg, out, tel)
+}
+
+#[test]
+fn obs_plane_is_independent_of_the_recording_flag() {
+    let (_, traced, _) = overloaded_run(42);
+    let (_, cfg, suite, schedule) = overloaded_setup(42);
+    let untraced = Testbed::run_platform_schedule(&cfg, &suite, &schedule);
+    let dashboard = |out: &dgsf::BackendRunOutput| {
+        out.obs
+            .as_ref()
+            .expect("obs plane was configured")
+            .dashboard_json()
+    };
+    assert_eq!(
+        dashboard(&traced),
+        dashboard(&untraced),
+        "the plane must see the same stream with telemetry recording off"
+    );
 }
 
 #[test]

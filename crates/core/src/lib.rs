@@ -27,7 +27,7 @@
 //!
 //! Configuration goes through one entry point, [`PlatformConfig`]: a
 //! builder covering the server shape, the fleet, and the backend's
-//! routing, retry and admission policies.
+//! routing and admission policies.
 //!
 //! ```
 //! use dgsf::{PlatformConfig, Testbed};
@@ -85,8 +85,7 @@ pub mod prelude {
     };
     pub use dgsf_serverless::{
         AdmissionConfig, ArrivalPattern, ClusterBalancer, FailureClass, FairShedConfig,
-        InvokeOptions, Invoker, Phase, PhaseRecorder, RetryPolicy, Schedule, StickyConfig,
-        Tenanted, Workload,
+        InvokeOptions, Invoker, Phase, PhaseRecorder, Schedule, StickyConfig, Tenanted, Workload,
     };
     pub use dgsf_sim::{Dur, ObsConfig, ObsPlane, ObsReport, Sim, SimTime};
 }

@@ -2,9 +2,9 @@
 //! platform run.
 //!
 //! One builder covers the server shape ([`GpuServerConfig`]), the fleet,
-//! admission control ([`AdmissionConfig`]), retries ([`RetryPolicy`]) and
-//! the observability plane: start from [`PlatformConfig::paper_default`],
-//! chain `with_*` calls, and hand the result to
+//! admission control ([`AdmissionConfig`]) and the observability plane:
+//! start from [`PlatformConfig::paper_default`], chain `with_*` calls, and
+//! hand the result to
 //! [`Testbed::run_platform_schedule`](crate::Testbed::run_platform_schedule).
 //! The single-server runners take the [`TestbedConfig`] view from
 //! [`PlatformConfig::testbed`].
@@ -25,7 +25,7 @@
 
 use dgsf_remoting::OptConfig;
 use dgsf_server::{FleetPolicy, GpuServerConfig, MqfqConfig, QueuePolicy, ShedPolicy};
-use dgsf_serverless::{AdmissionConfig, FairShedConfig, RetryPolicy, StickyConfig};
+use dgsf_serverless::{AdmissionConfig, FairShedConfig, StickyConfig};
 use dgsf_sim::ObsConfig;
 
 use crate::testbed::TestbedConfig;
@@ -42,17 +42,8 @@ pub enum ConfigError {
         /// The offending tenant.
         tenant: String,
     },
-    /// The MQFQ provisional service charge is 0, which would collapse the
-    /// in-flight rotation.
-    ZeroAssumedService,
     /// The sticky max-share bound is outside 1..=1000 per mille.
     BadStickyShare(u64),
-    /// Pipelined host→GPU transfers are enabled with a zero chunk size, so
-    /// the DMA engines would have nothing to slice copies into.
-    ZeroDmaChunk,
-    /// Pipelined host→GPU transfers are enabled with zero DMA engines, so
-    /// no transfer could ever start.
-    ZeroDmaEngines,
     /// The observability-plane configuration is internally inconsistent
     /// (zero window, inverted burn-window pair, zero budget, ...).
     BadObsConfig(String),
@@ -66,25 +57,10 @@ impl std::fmt::Display for ConfigError {
                 "{policy} weight for tenant {tenant:?} is 0: a zero-weight tenant \
                  would be starved forever; give every tenant a weight >= 1"
             ),
-            ConfigError::ZeroAssumedService => write!(
-                f,
-                "MQFQ assumed_service_ns is 0: the provisional in-flight charge \
-                 must be at least 1 ns"
-            ),
             ConfigError::BadStickyShare(p) => write!(
                 f,
                 "sticky max_share_permille is {p}: must be within 1..=1000 \
                  (per mille of the fleet one tenant may hold)"
-            ),
-            ConfigError::ZeroDmaChunk => write!(
-                f,
-                "h2d_pipelined is set with h2d_chunk_bytes 0: pipelined \
-                 transfers need a non-zero chunk size to slice copies into"
-            ),
-            ConfigError::ZeroDmaEngines => write!(
-                f,
-                "h2d_pipelined is set with h2d_dma_engines 0: pipelined \
-                 transfers need at least one DMA engine to run on"
             ),
             ConfigError::BadObsConfig(reason) => write!(f, "obs config rejected: {reason}"),
         }
@@ -95,7 +71,7 @@ impl std::error::Error for ConfigError {}
 
 /// One consolidated configuration for a whole platform run: the RNG seed,
 /// the shape of every GPU server, the fleet in front of them, and the
-/// backend's routing, retry and admission policies.
+/// backend's routing and admission policies.
 #[derive(Clone)]
 pub struct PlatformConfig {
     /// RNG seed (arrivals, jitter).
@@ -106,15 +82,11 @@ pub struct PlatformConfig {
     pub num_servers: usize,
     /// Cluster-balancer routing policy.
     pub policy: FleetPolicy,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
     /// Optional admission control (overload shedding).
     pub admission: Option<AdmissionConfig>,
     /// Optional bounded sticky tenant→server placement (MQFQ-Sticky's
     /// locality half).
     pub sticky: Option<StickyConfig>,
-    /// Guest-library optimization level.
-    pub opts: OptConfig,
     /// Optional online observability plane: streaming windowed
     /// aggregation, burn-rate alerting, health scoring, and the signals a
     /// predictive autoscaler consumes.
@@ -123,17 +95,15 @@ pub struct PlatformConfig {
 
 impl PlatformConfig {
     /// The paper's default platform: one paper-default GPU server behind a
-    /// round-robin backend, default retries, no admission control.
+    /// round-robin backend, no admission control.
     pub fn paper_default() -> PlatformConfig {
         PlatformConfig {
             seed: 42,
             server: GpuServerConfig::paper_default(),
             num_servers: 1,
             policy: FleetPolicy::RoundRobin,
-            retry: RetryPolicy::default(),
             admission: None,
             sticky: None,
-            opts: OptConfig::full(),
             obs: None,
         }
     }
@@ -160,12 +130,6 @@ impl PlatformConfig {
     /// Builder-style: set the cluster-balancer routing policy.
     pub fn with_fleet_policy(mut self, policy: FleetPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder-style: set the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -225,12 +189,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Builder-style: set the guest-library optimization level.
-    pub fn with_opts(mut self, opts: OptConfig) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Builder-style: enable the online observability plane. The runner
     /// installs one [`dgsf_sim::ObsPlane`] per run on the simulation's
     /// telemetry registry, where the backend and every monitor reach it,
@@ -242,8 +200,8 @@ impl PlatformConfig {
     }
 
     /// Check the configuration for inconsistencies that would silently
-    /// distort a run: zero (or zero-total) fairness weights, a zero MQFQ
-    /// provisional charge, an out-of-range sticky share. The platform
+    /// distort a run: zero (or zero-total) fairness weights, an
+    /// out-of-range sticky share, an inconsistent obs plane. The platform
     /// runners call this before provisioning anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(fair) = self.admission.as_ref().and_then(|a| a.fairness.as_ref()) {
@@ -253,21 +211,10 @@ impl PlatformConfig {
             let default = MqfqConfig::default();
             let mqfq = self.server.fair_queue.as_ref().unwrap_or(&default);
             check_weights("mqfq", &mqfq.weights)?;
-            if mqfq.assumed_service_ns == 0 {
-                return Err(ConfigError::ZeroAssumedService);
-            }
         }
         if let Some(sticky) = &self.sticky {
             if !(1..=1000).contains(&sticky.max_share_permille) {
                 return Err(ConfigError::BadStickyShare(sticky.max_share_permille));
-            }
-        }
-        if self.server.costs.h2d_pipelined {
-            if self.server.costs.h2d_chunk_bytes == 0 {
-                return Err(ConfigError::ZeroDmaChunk);
-            }
-            if self.server.costs.h2d_dma_engines == 0 {
-                return Err(ConfigError::ZeroDmaEngines);
             }
         }
         if let Some(obs) = &self.obs {
@@ -284,12 +231,13 @@ impl PlatformConfig {
             .unwrap_or(ShedPolicy::Fifo)
     }
 
-    /// View as a single-server [`TestbedConfig`] (fleet settings dropped).
+    /// View as a single-server [`TestbedConfig`] with full guest-library
+    /// optimizations (fleet settings dropped).
     pub fn testbed(&self) -> TestbedConfig {
         TestbedConfig {
             seed: self.seed,
             server: self.server.clone(),
-            opts: self.opts,
+            opts: OptConfig::full(),
         }
     }
 }
@@ -308,21 +256,6 @@ fn check_weights(
         });
     }
     Ok(())
-}
-
-impl From<PlatformConfig> for TestbedConfig {
-    fn from(p: PlatformConfig) -> TestbedConfig {
-        p.testbed()
-    }
-}
-
-impl From<TestbedConfig> for PlatformConfig {
-    fn from(t: TestbedConfig) -> PlatformConfig {
-        PlatformConfig::paper_default()
-            .with_seed(t.seed)
-            .with_server(t.server)
-            .with_opts(t.opts)
-    }
 }
 
 #[cfg(test)]
@@ -393,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_mqfq_weights_and_charge() {
+    fn validate_rejects_zero_mqfq_weights() {
         let mut mqfq = MqfqConfig::new();
         mqfq.weights.insert("ghost".into(), 0);
         let cfg = PlatformConfig::paper_default().with_mqfq(mqfq);
@@ -404,15 +337,12 @@ mod tests {
                 tenant: "ghost".into(),
             })
         );
-        let mqfq3 = MqfqConfig::new().with_assumed_service(0);
-        assert_eq!(
-            PlatformConfig::paper_default().with_mqfq(mqfq3).validate(),
-            Err(ConfigError::ZeroAssumedService)
-        );
         // The same weights are fine when MQFQ is not the queue policy:
         // validation judges what the run will actually use.
         let mut unused = PlatformConfig::paper_default();
-        unused.server.fair_queue = Some(MqfqConfig::new().with_assumed_service(0));
+        let mut ghost = MqfqConfig::new();
+        ghost.weights.insert("ghost".into(), 0);
+        unused.server.fair_queue = Some(ghost);
         assert_eq!(unused.validate(), Ok(()));
     }
 
@@ -429,26 +359,6 @@ mod tests {
         // Error messages are actionable.
         let msg = cfg2.validate().unwrap_err().to_string();
         assert!(msg.contains("1500") && msg.contains("1..=1000"), "{msg}");
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_pipelined_transfer_knobs() {
-        // The builder keeps chunk/engines sane; a literal 0 needs the
-        // public fields, and only matters once pipelining is switched on.
-        let mut cfg = PlatformConfig::paper_default();
-        cfg.server.costs.h2d_chunk_bytes = 0;
-        cfg.server.costs.h2d_dma_engines = 0;
-        assert_eq!(cfg.validate(), Ok(()), "knobs are inert while disabled");
-        cfg.server.costs.h2d_pipelined = true;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroDmaChunk));
-        cfg.server.costs.h2d_chunk_bytes = 1 << 20;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroDmaEngines));
-        cfg.server.costs.h2d_dma_engines = 2;
-        assert_eq!(cfg.validate(), Ok(()));
-        // And the builder-configured form is valid as-is.
-        let built = PlatformConfig::paper_default()
-            .with_server(GpuServerConfig::paper_default().with_pipelined_h2d(4 << 20, 2));
-        assert_eq!(built.validate(), Ok(()));
     }
 
     #[test]

@@ -276,20 +276,19 @@ impl Testbed {
                 let fleet: Vec<Arc<GpuServer>> = (0..cfg2.num_servers)
                     .map(|_| GpuServer::provision(p, h, cfg2.server.clone()))
                     .collect();
-                let mut backend = Backend::new(fleet.clone(), cfg2.policy).with_retry(cfg2.retry);
+                let mut backend = Backend::new(fleet.clone(), cfg2.policy);
                 if let Some(adm) = cfg2.admission.clone() {
                     backend = backend.with_admission(adm);
                 }
                 if let Some(sticky) = cfg2.sticky.clone() {
                     backend = backend.with_sticky(sticky);
                 }
-                let opts = cfg2.opts;
                 launch(
                     h,
                     &schedule,
                     &suite,
                     out,
-                    move |p, w| backend.invoke(p, &store, w, opts),
+                    move |p, w| backend.invoke(p, &store, w, OptConfig::full()),
                     move || {
                         let records: Vec<Vec<InvocationRecord>> =
                             fleet.iter().map(|s| s.records()).collect();

@@ -52,21 +52,6 @@ pub struct CostTable {
     /// `max(stop, copy)`: 0.50 s at 323 MB and 0.53 s at 3514 MB, then
     /// copy-dominated above.
     pub migration_stop: Dur,
-    /// Pipelined host→GPU transfers: when set, `MemcpyH2D` returns as soon
-    /// as the copy is staged and the DMA engines move the bytes in the
-    /// background, overlapping transfer with compute (FaaSTube's data-plane
-    /// observation). Kernel launches touching the destination buffer fence
-    /// on the in-flight copy. Off by default — the synchronous data path
-    /// (and every golden produced under it) is unchanged.
-    pub h2d_pipelined: bool,
-    /// Chunk size the DMA engines slice pipelined copies into, bytes.
-    /// Granularity of per-chunk telemetry. Must be non-zero when
-    /// `h2d_pipelined` is set.
-    pub h2d_chunk_bytes: u64,
-    /// Simulated DMA engines per GPU: the cap on concurrently in-flight
-    /// pipelined transfers (they still share the one PCIe link's
-    /// bandwidth). Must be non-zero when `h2d_pipelined` is set.
-    pub h2d_dma_engines: u32,
 }
 
 impl Default for CostTable {
@@ -86,9 +71,6 @@ impl Default for CostTable {
             d2d_channels: 2,
             migration_lib_recreate: Dur::from_secs_f64(0.4),
             migration_stop: Dur::from_secs_f64(0.45),
-            h2d_pipelined: false,
-            h2d_chunk_bytes: 4 * MB,
-            h2d_dma_engines: 2,
         }
     }
 }

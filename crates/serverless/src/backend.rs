@@ -15,7 +15,6 @@
 //! comes back as a [`FunctionResult`] with `failure` set after the attempt
 //! budget is spent.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dgsf_remoting::OptConfig;
@@ -34,60 +33,14 @@ use crate::workload::Workload;
 /// backend's retry loop and [`Invoker::invoke_dag`]'s whole-DAG retries.
 pub const MAX_ATTEMPTS: u32 = 3;
 
-/// Backoff between attempts of a transient invocation failure (the
-/// attempt budget is [`MAX_ATTEMPTS`]).
-///
-/// All arithmetic is integer milliseconds: the old `f64` `powi` path
-/// rounded differently across platforms and silently went infinite for
-/// large attempt counts. Growth is expressed in permille so non-integral
-/// factors (×1.5 = 1500) stay exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Backoff before the second attempt, in milliseconds.
-    pub initial_backoff_ms: u64,
-    /// Growth factor for each subsequent backoff, in permille
-    /// (2000 = double each time).
-    pub backoff_multiplier_permille: u64,
-}
+/// Backoff before the second attempt of a transient invocation failure;
+/// each later backoff doubles it.
+const INITIAL_BACKOFF_MS: u64 = 50;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            initial_backoff_ms: 50,
-            backoff_multiplier_permille: 2000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Builder-style: set the first backoff in milliseconds.
-    pub fn with_initial_backoff_ms(mut self, ms: u64) -> Self {
-        self.initial_backoff_ms = ms;
-        self
-    }
-
-    /// Builder-style: set the growth factor in permille (2000 = ×2).
-    pub fn with_multiplier_permille(mut self, permille: u64) -> Self {
-        self.backoff_multiplier_permille = permille;
-        self
-    }
-
-    /// Backoff to sleep after failed attempt number `attempt` (1-based).
-    /// Saturates instead of overflowing: absurd policies produce the
-    /// longest representable backoff, never a wrapped short one.
-    pub fn backoff(&self, attempt: u32) -> Dur {
-        // Largest millisecond count Dur's u64 nanoseconds can hold.
-        const MAX_MS: u128 = (u64::MAX / 1_000_000) as u128;
-        let mut ms: u128 = self.initial_backoff_ms as u128;
-        for _ in 1..attempt {
-            ms = ms.saturating_mul(self.backoff_multiplier_permille as u128) / 1000;
-            if ms >= MAX_MS {
-                ms = MAX_MS;
-                break;
-            }
-        }
-        Dur::from_millis(ms.min(MAX_MS) as u64)
-    }
+/// Backoff to sleep after failed attempt number `attempt` (1-based, at
+/// most [`MAX_ATTEMPTS`], so the shift cannot overflow).
+fn backoff(attempt: u32) -> Dur {
+    Dur::from_millis(INITIAL_BACKOFF_MS << (attempt - 1))
 }
 
 /// Admission control at the backend's front door: bounded concurrency and
@@ -102,9 +55,6 @@ pub struct AdmissionConfig {
     /// Maximum time one attempt may wait in a GPU server's queue before
     /// the work is shed as overload (bounds queue *age*, not just depth).
     pub max_queue_age: Option<Dur>,
-    /// Per-workload concurrency cap: one hot function cannot occupy the
-    /// whole admitted set.
-    pub max_per_workload: Option<usize>,
     /// Per-tenant weighted fair shedding ([`ShedPolicy::WeightedFair`]).
     /// `None` is the FIFO baseline: slots go to whoever arrives first,
     /// tenant-blind.
@@ -112,14 +62,12 @@ pub struct AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Admit up to `max_inflight` concurrent invocations; no age or
-    /// per-workload bounds.
+    /// Admit up to `max_inflight` concurrent invocations; no age bound.
     pub fn new(max_inflight: usize) -> AdmissionConfig {
         assert!(max_inflight >= 1, "admitting nothing serves nothing");
         AdmissionConfig {
             max_inflight,
             max_queue_age: None,
-            max_per_workload: None,
             fairness: None,
         }
     }
@@ -127,12 +75,6 @@ impl AdmissionConfig {
     /// Builder-style: bound per-attempt queue wait.
     pub fn with_max_queue_age(mut self, d: Dur) -> Self {
         self.max_queue_age = Some(d);
-        self
-    }
-
-    /// Builder-style: cap concurrent invocations of any single workload.
-    pub fn with_max_per_workload(mut self, n: usize) -> Self {
-        self.max_per_workload = Some(n.max(1));
         self
     }
 
@@ -156,7 +98,6 @@ impl AdmissionConfig {
 #[derive(Default)]
 struct AdmissionState {
     inflight: usize,
-    per_workload: HashMap<String, usize>,
     /// Present iff the admission config asked for weighted fair shedding.
     fair: Option<FairShedder>,
 }
@@ -164,7 +105,6 @@ struct AdmissionState {
 /// RAII release of an admission slot.
 struct AdmissionSlot<'a> {
     state: &'a Mutex<AdmissionState>,
-    name: String,
     /// Tenant charged by the fair shedder, when fairness is on.
     tenant: Option<String>,
 }
@@ -173,12 +113,6 @@ impl Drop for AdmissionSlot<'_> {
     fn drop(&mut self) {
         let mut st = self.state.lock();
         st.inflight -= 1;
-        if let Some(n) = st.per_workload.get_mut(&self.name) {
-            *n -= 1;
-            if *n == 0 {
-                st.per_workload.remove(&self.name);
-            }
-        }
         if let (Some(t), Some(fair)) = (&self.tenant, st.fair.as_mut()) {
             fair.release(t);
         }
@@ -216,7 +150,6 @@ impl Exit {
 pub struct Backend {
     servers: Vec<Arc<GpuServer>>,
     balancer: ClusterBalancer,
-    retry: RetryPolicy,
     admission: Option<AdmissionConfig>,
     admitted: Mutex<AdmissionState>,
 }
@@ -231,16 +164,9 @@ impl Backend {
         Backend {
             servers,
             balancer: ClusterBalancer::new(policy),
-            retry: RetryPolicy::default(),
             admission: None,
             admitted: Mutex::new(AdmissionState::default()),
         }
-    }
-
-    /// Override the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Backend {
-        self.retry = retry;
-        self
     }
 
     /// Turn on admission control. Without it the backend admits everything
@@ -442,7 +368,7 @@ impl Backend {
                 );
             }
             avoid = Some(idx);
-            p.sleep(self.retry.backoff(attempt));
+            p.sleep(backoff(attempt));
             attempt += 1;
         }
     }
@@ -525,19 +451,12 @@ impl Backend {
         let Some(adm) = &self.admission else {
             return Ok(None); // no admission control: everything enters
         };
-        let name = w.name();
         let mut st = self.admitted.lock();
         if st.inflight >= adm.max_inflight {
             return Err(format!(
                 "inflight limit reached ({}/{})",
                 st.inflight, adm.max_inflight
             ));
-        }
-        let running = st.per_workload.get(name).copied().unwrap_or(0);
-        if let Some(cap) = adm.max_per_workload {
-            if running >= cap {
-                return Err(format!("workload cap reached ({running}/{cap})"));
-            }
         }
         // Weighted fair shedding: within the global budget, each tenant
         // owns its weighted share and borrows beyond it only as fast as
@@ -558,10 +477,8 @@ impl Backend {
             None
         };
         st.inflight += 1;
-        *st.per_workload.entry(name.to_string()).or_insert(0) += 1;
         Ok(Some(AdmissionSlot {
             state: &self.admitted,
-            name: name.to_string(),
             tenant,
         }))
     }
@@ -640,50 +557,9 @@ mod tests {
 
     #[test]
     fn retry_backoff_grows_geometrically() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff(1), Dur::from_millis(50));
-        assert_eq!(r.backoff(2), Dur::from_millis(100));
-        assert_eq!(r.backoff(3), Dur::from_millis(200));
-    }
-
-    #[test]
-    fn retry_backoff_is_exact_integer_millis() {
-        // Non-integral growth (×1.5) stays exact in milli arithmetic —
-        // pinned so the sequence can never drift with float rounding.
-        let r = RetryPolicy::default()
-            .with_initial_backoff_ms(100)
-            .with_multiplier_permille(1500);
-        let seq: Vec<Dur> = (1..=5).map(|a| r.backoff(a)).collect();
-        assert_eq!(
-            seq,
-            vec![
-                Dur::from_millis(100),
-                Dur::from_millis(150),
-                Dur::from_millis(225),
-                Dur::from_millis(337), // 337.5 floors: integer millis
-                Dur::from_millis(505), // 337 * 1500 / 1000
-            ]
-        );
-    }
-
-    #[test]
-    fn retry_backoff_saturates_instead_of_overflowing() {
-        let r = RetryPolicy::default()
-            .with_initial_backoff_ms(u64::MAX)
-            .with_multiplier_permille(u64::MAX);
-        // The longest backoff Dur's u64 nanoseconds can represent,
-        // reached monotonically — never a wrapped-around short sleep.
-        let cap = Dur::from_millis(u64::MAX / 1_000_000);
-        assert_eq!(r.backoff(1), cap);
-        assert_eq!(r.backoff(64), cap);
-        let grow = RetryPolicy::default().with_initial_backoff_ms(50);
-        let mut prev = Dur::ZERO;
-        for a in 1..=80 {
-            let b = grow.backoff(a);
-            assert!(b >= prev, "backoff shrank at attempt {a}");
-            prev = b;
-        }
-        assert_eq!(prev, cap);
+        assert_eq!(backoff(1), Dur::from_millis(50));
+        assert_eq!(backoff(2), Dur::from_millis(100));
+        assert_eq!(backoff(3), Dur::from_millis(200));
     }
 
     #[test]
@@ -755,39 +631,6 @@ mod tests {
             res.iter().any(|r| r.succeeded()),
             "the admitted invocation completed"
         );
-    }
-
-    #[test]
-    fn per_workload_cap_spares_other_workloads() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let r2 = results.clone();
-        sim.spawn("root", move |p| {
-            let cfg = GpuServerConfig::paper_default().gpus(2).sharing(2);
-            let srv = GpuServer::provision(p, &h, cfg);
-            let b = Arc::new(
-                Backend::new(vec![srv], FleetPolicy::RoundRobin)
-                    .with_admission(AdmissionConfig::new(16).with_max_per_workload(1)),
-            );
-            let store = Arc::new(ObjectStore::new(NetProfile::datacenter().s3_bw));
-            for (i, name) in ["hot", "hot", "cold"].into_iter().enumerate() {
-                let b = Arc::clone(&b);
-                let store = Arc::clone(&store);
-                let r = r2.clone();
-                h.spawn(&format!("fn{i}"), move |p| {
-                    p.sleep(Dur::from_millis(i as u64));
-                    let res = b.invoke(p, &store, &Spin(name), OptConfig::full());
-                    r.lock().push((name, res.shed));
-                });
-            }
-        });
-        sim.run();
-        let res = results.lock().clone();
-        let hot_shed = res.iter().filter(|(n, s)| *n == "hot" && *s).count();
-        let cold_shed = res.iter().filter(|(n, s)| *n == "cold" && *s).count();
-        assert_eq!(hot_shed, 1, "second concurrent 'hot' hits the cap");
-        assert_eq!(cold_shed, 0, "'cold' is unaffected by 'hot''s cap");
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub enum Phase {
     ModelLoad,
     /// Inference / main computation.
     Processing,
-    /// Host↔GPU data movement over the remoting link (the pipelined data
-    /// plane's bucket: uploads, downloads and inter-stage host bounces).
+    /// Host↔GPU data movement over the remoting link (uploads, downloads
+    /// and a DAG's inter-stage host bounces).
     Transfer,
 }
 

@@ -30,8 +30,8 @@ pub const DEFAULT_WEIGHT: u64 = 1;
 /// via [`crate::AdmissionConfig::with_weighted_fair`].
 #[derive(Debug, Clone)]
 pub struct FairShedConfig {
-    /// Per-tenant weights. Tenants absent from the map get
-    /// [`DEFAULT_WEIGHT`] on first arrival.
+    /// Per-tenant weights. Tenants absent from the map get weight
+    /// `DEFAULT_WEIGHT` (1) on first arrival.
     pub weights: BTreeMap<String, u64>,
     /// Token-bucket capacity, in tokens: how many admissions beyond its
     /// fair share a tenant may burst before the refill rate binds.
@@ -236,14 +236,6 @@ impl FairShedder {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.inflight = t.inflight.saturating_sub(1);
         }
-    }
-
-    /// Normalized over-budget factor of `tenant` in permille:
-    /// `inflight / share`. 1000 means exactly at its fair share.
-    pub fn over_budget_permille(&self, tenant: &str, max_inflight: usize) -> u64 {
-        let share = self.share_of(tenant, max_inflight).max(1) as u64;
-        let inflight = self.inflight_of(tenant) as u64;
-        inflight * 1000 / share
     }
 }
 

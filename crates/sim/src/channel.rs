@@ -150,11 +150,6 @@ impl<T: Send + 'static> SimReceiver<T> {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.state.lock().queue.pop_front()
-    }
-
     /// Drain everything currently queued (non-blocking).
     pub fn drain(&self) -> Vec<T> {
         let mut ch = self.inner.state.lock();

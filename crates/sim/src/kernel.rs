@@ -303,7 +303,7 @@ impl Sim {
         spawn_inner(&self.shared, name, at, f)
     }
 
-    /// Create an MPMC simulation channel (see [`crate::channel`]).
+    /// Create an MPMC simulation channel (see [`SimReceiver`](crate::SimReceiver)).
     pub fn channel<T: Send + 'static>(&self) -> (crate::SimSender<T>, crate::SimReceiver<T>) {
         crate::channel::channel()
     }

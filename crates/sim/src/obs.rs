@@ -54,8 +54,8 @@
 //! the burn is `(violations·1000/total) · 1000 / error_budget_permille`
 //! per mille: 1000 means the budget is being consumed exactly at its
 //! sustainable rate. An alert fires for a tenant when both the fast
-//! window set (the last [`ObsConfig::fast_windows`] windows) and the slow
-//! set (the last [`ObsConfig::slow_windows`]) burn at or above
+//! window set (the last [`FAST_BURN_WINDOWS`] windows) and the slow
+//! set (the last [`SLOW_BURN_WINDOWS`]) burn at or above
 //! [`BURN_THRESHOLD_PERMILLE`] *and* the tenant's violating requests spent
 //! at least [`QUEUE_SHARE_THRESHOLD_PERMILLE`] of their end-to-end time
 //! queueing. Alerts are edge-triggered: one
@@ -152,6 +152,12 @@ pub const BURN_THRESHOLD_PERMILLE: u64 = 1000;
 /// offline critical-path attribution gate.
 pub const QUEUE_SHARE_THRESHOLD_PERMILLE: u64 = 300;
 
+/// Fast alert window set, in aggregation windows.
+pub const FAST_BURN_WINDOWS: usize = 2;
+
+/// Slow alert window set, in aggregation windows (≥ [`FAST_BURN_WINDOWS`]).
+pub const SLOW_BURN_WINDOWS: usize = 8;
+
 /// Configuration of the observability plane. All thresholds are integer
 /// permille; all windows are virtual-time durations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,10 +169,6 @@ pub struct ObsConfig {
     pub slo_target: Dur,
     /// Error budget: permille of requests allowed to violate.
     pub error_budget_permille: u64,
-    /// Fast alert window, in aggregation windows.
-    pub fast_windows: usize,
-    /// Slow alert window, in aggregation windows (≥ `fast_windows`).
-    pub slow_windows: usize,
 }
 
 impl ObsConfig {
@@ -178,8 +180,6 @@ impl ObsConfig {
             window: Dur::from_millis(500),
             slo_target: Dur::from_secs(2),
             error_budget_permille: 100,
-            fast_windows: 2,
-            slow_windows: 8,
         }
     }
 
@@ -196,23 +196,10 @@ impl ObsConfig {
         self
     }
 
-    /// Builder-style: set the fast/slow burn window pair.
-    pub fn with_burn_windows(mut self, fast: usize, slow: usize) -> Self {
-        self.fast_windows = fast;
-        self.slow_windows = slow;
-        self
-    }
-
     /// Check the configuration for internal consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.window == Dur::ZERO {
             return Err("obs window must be non-zero".into());
-        }
-        if self.fast_windows == 0 {
-            return Err("obs fast window must cover at least one window".into());
-        }
-        if self.slow_windows < self.fast_windows {
-            return Err("obs slow window must be at least the fast window".into());
         }
         if self.error_budget_permille == 0 {
             return Err("obs error budget must be non-zero".into());
@@ -354,11 +341,11 @@ struct Inner {
     ewma_rate_milli: u64,
     ewma_seeded: bool,
     /// Finalized per-tenant windows, most recent at the back, bounded to
-    /// `slow_windows`. Every known tenant gets a (possibly zero) entry
+    /// [`SLOW_BURN_WINDOWS`]. Every known tenant gets a (possibly zero) entry
     /// per finalized window, so sets stay time-aligned.
     tenant_hist: BTreeMap<String, VecDeque<TenantWin>>,
     /// Global (tail_queue, tail_e2e) of recent finalized windows, bounded
-    /// to `fast_windows` (drives the autoscaler's attribution gate).
+    /// to [`FAST_BURN_WINDOWS`] (drives the autoscaler's attribution gate).
     share_hist: VecDeque<(u64, u64)>,
     windows: Vec<WindowRow>,
     tenant_rows: Vec<TenantBurnRow>,
@@ -426,7 +413,7 @@ impl Inner {
         });
         self.share_hist
             .push_back((self.cur.tail_queue_ns, self.cur.tail_e2e_ns));
-        while self.share_hist.len() > cfg.fast_windows {
+        while self.share_hist.len() > FAST_BURN_WINDOWS {
             self.share_hist.pop_front();
         }
         // Per-tenant: every known tenant gets an entry (zeros when idle
@@ -444,10 +431,10 @@ impl Inner {
             let tw = cur_tenants.get(&tenant).cloned().unwrap_or_default();
             let hist = self.tenant_hist.entry(tenant.clone()).or_default();
             hist.push_back(tw);
-            while hist.len() > cfg.slow_windows {
+            while hist.len() > SLOW_BURN_WINDOWS {
                 hist.pop_front();
             }
-            let fast_n = cfg.fast_windows.min(hist.len());
+            let fast_n = FAST_BURN_WINDOWS.min(hist.len());
             let fast = sum_set(hist.iter().skip(hist.len() - fast_n));
             let slow = sum_set(hist.iter());
             let fast_burn = burn_permille(fast.total, fast.violations, cfg.error_budget_permille);
@@ -766,7 +753,6 @@ mod tests {
         ObsConfig::paper_default()
             .with_window(Dur::from_millis(500))
             .with_slo(Dur::from_millis(100), 100)
-            .with_burn_windows(2, 4)
     }
 
     fn assert_bound(xs: &[u64], q: u64) {
@@ -984,14 +970,6 @@ mod tests {
         assert!(ObsConfig::paper_default().validate().is_ok());
         assert!(ObsConfig::paper_default()
             .with_window(Dur::ZERO)
-            .validate()
-            .is_err());
-        assert!(ObsConfig::paper_default()
-            .with_burn_windows(0, 4)
-            .validate()
-            .is_err());
-        assert!(ObsConfig::paper_default()
-            .with_burn_windows(4, 2)
             .validate()
             .is_err());
         let mut c = ObsConfig::paper_default();

@@ -301,11 +301,6 @@ impl GpsResource {
         self.inner.lock().capacity
     }
 
-    /// Number of jobs currently being served.
-    pub fn active_jobs(&self) -> usize {
-        self.inner.lock().jobs.len()
-    }
-
     /// Inspect the busy timeline.
     pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
         f(&self.inner.lock().timeline)
@@ -425,12 +420,6 @@ impl FifoResource {
     /// Inspect the busy timeline.
     pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
         f(&self.inner.lock().timeline)
-    }
-
-    /// Jobs waiting plus the one in service.
-    pub fn queue_len(&self) -> usize {
-        let f = self.inner.lock();
-        f.waiters.len() + usize::from(f.current.is_some())
     }
 }
 

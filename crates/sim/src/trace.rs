@@ -40,7 +40,7 @@ use crate::time::{Dur, SimTime};
 /// the online obs plane and the exactly-once oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceOutcome {
-    /// The request returned a successful [`FunctionResult`]-style outcome.
+    /// The request returned a successful `FunctionResult`-style outcome.
     Completed,
     /// Admission control (or queue-age overload) shed the request.
     Shed,

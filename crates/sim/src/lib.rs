@@ -6,7 +6,11 @@
 //!
 //! * a virtual nanosecond clock ([`SimTime`], [`Dur`]),
 //! * thread-backed cooperative **processes** written as ordinary blocking
-//!   Rust ([`Sim::spawn`], [`ProcCtx`]),
+//!   Rust ([`Sim::spawn`], [`ProcCtx`]). On Linux every process thread of a
+//!   [`Sim`] is pinned to the one CPU that [`Sim::new`] ran on: only one of
+//!   them runs at a time, so a handoff between them is a same-core switch
+//!   (~2.5 µs) instead of a cross-core wake (7–14 µs). The driver thread is
+//!   never pinned, and a thread whose pin fails runs unpinned,
 //! * MPMC **channels** with virtual-time blocking receives
 //!   ([`SimSender`], [`SimReceiver`]),
 //! * shared-capacity **resources** — processor-sharing ([`GpsResource`]) and
